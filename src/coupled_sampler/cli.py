@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -97,6 +98,8 @@ def _as_number(lo=None, strict_lo=None):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{loc}: expected a number")
         v = float(v)
+        if not math.isfinite(v):
+            raise ConfigError(f"{loc}: must be finite, got {v}")
         if lo is not None and v < lo:
             raise ConfigError(f"{loc}: must be >= {lo}, got {v}")
         if strict_lo is not None and v <= strict_lo:
@@ -135,7 +138,10 @@ def _as_number_list(min_len=1):
         for i, item in enumerate(v):
             if isinstance(item, bool) or not isinstance(item, (int, float)):
                 raise ConfigError(f"{loc}[{i}]: expected a number")
-            out.append(float(item))
+            item = float(item)
+            if not math.isfinite(item):
+                raise ConfigError(f"{loc}[{i}]: must be finite, got {item}")
+            out.append(item)
         return out
 
     return check
@@ -323,8 +329,9 @@ def _samples_csv(path, samples):
     write_csv(path, header, rows)
 
 
-def _trajectory_csv(path, trajectories):
-    d = trajectories[0].x_t.shape[1]
+def _trajectory_csv(path, trajectory):
+    """Rows run chain by chain: every recorded step of chain 0, then chain 1, ..."""
+    steps, n, d = trajectory.x_t.shape
     header = (
         ["chain_index", "step"]
         + [f"x_{k}" for k in range(d)]
@@ -333,13 +340,13 @@ def _trajectory_csv(path, trajectories):
     )
 
     def rows():
-        for i, traj in enumerate(trajectories):
-            for s in range(traj.steps.size):
+        for i in range(n):
+            for s in range(steps):
                 yield (
-                    [i, int(traj.steps[s])]
-                    + list(traj.x_t[s])
-                    + list(traj.x0_hat[s])
-                    + list(traj.eps_hat[s])
+                    [i, int(trajectory.steps[s])]
+                    + list(trajectory.x_t[s, i])
+                    + list(trajectory.x0_hat[s, i])
+                    + list(trajectory.eps_hat[s, i])
                 )
 
     write_csv(path, header, rows())
@@ -370,7 +377,7 @@ def cmd_sample(args) -> int:
     ]
     _samples_csv(out / "samples.csv", batch.samples)
     if cfg.record_trajectory:
-        _trajectory_csv(out / "trajectory.csv", batch.trajectories)
+        _trajectory_csv(out / "trajectory.csv", batch.trajectory)
     write_json(out / "metrics.json", [r.to_dict() for r in reports])
     write_json(
         out / "run.json",

@@ -21,7 +21,7 @@ chain) are provided for comparison studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,16 +33,15 @@ from .models import (
     mv_consistent_model,
     mv_edit_chain_model,
 )
-from .rng import CHAIN_A, CHAIN_B, STREAM_INIT, STREAM_STEP, NoiseStream, derive_seed
+from .rng import CHAIN_A, CHAIN_B, NoiseStream, derive_seed
 from .sampler import (
     SamplerConfig,
     SampleBatch,
-    Trajectory,
-    _ancestral_mean,
-    _deterministic_update,
+    _run_chains,
+    _step,
     config_fingerprint,
+    sample,
     step_coefficients,
-    x0_from_epsilon,
 )
 from .schedule import NoiseSchedule
 
@@ -59,8 +58,8 @@ class CouplingConfig:
     lambda_ramp: tuple | None = None
 
     def __post_init__(self):
-        if not self.lam >= 0.0:
-            raise ValueError("lambda must be non-negative")
+        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
+            raise ValueError("lambda must be finite and non-negative")
         if self.guidance_scale_rule not in GUIDANCE_RULES:
             raise ValueError(
                 f"guidance_scale_rule must be one of {GUIDANCE_RULES}, "
@@ -144,9 +143,7 @@ def guidance_scale(schedule: NoiseSchedule, t: int, t_next: int, rule: str,
     if t_next == 0:
         return 0.0
     if rule == "posterior_tilt":
-        ab_t = schedule.alpha_bar_at(t)
-        ab_next = schedule.alpha_bar_at(t_next)
-        beta_eff = schedule.beta_at(t) if t_next == t - 1 else 1.0 - ab_t / ab_next
+        ab_t, ab_next, beta_eff, _ = step_coefficients(schedule, t, t_next, "beta")
         return beta_eff * math.sqrt(ab_next) / (1.0 + 2.0 * lam * (1.0 - ab_t))
     if rule == "alpha_bar_prev":
         return math.sqrt(1.0 - schedule.alpha_bar_at(t_next))
@@ -155,28 +152,17 @@ def guidance_scale(schedule: NoiseSchedule, t: int, t_next: int, rule: str,
     raise ValueError(f"unknown guidance_scale_rule {rule!r}")
 
 
-def _coupled_core(x_a, x_b, eps_a, eps_b, x0_a, x0_b, schedule, t, t_next,
-                  sampler_config, coupling, z_a, z_b):
-    """Advance both chains one step; pure function of its inputs."""
-    if t_next == 0:
-        return x0_a, x0_b
-    if sampler_config.kind == "deterministic":
-        ab_next = schedule.alpha_bar_at(t_next)
-        nxt_a = _deterministic_update(x0_a, eps_a, ab_next)
-        nxt_b = _deterministic_update(x0_b, eps_b, ab_next)
-    else:
-        ab_t, _, beta_eff, sigma = step_coefficients(
-            schedule, t, t_next, sampler_config.variance_rule
-        )
-        nxt_a = _ancestral_mean(x_a, eps_a, ab_t, beta_eff) + sigma * z_a
-        nxt_b = _ancestral_mean(x_b, eps_b, ab_t, beta_eff) + sigma * z_b
+def _guidance(coupling: CouplingConfig, schedule: NoiseSchedule, t: int, t_next: int,
+              x0_a, x0_b):
+    """Per-chain guidance increments for the jump t -> t_next, or None."""
     lam_t = coupling.lam_at(t)
-    if lam_t != 0.0:
-        scale = guidance_scale(schedule, t, t_next, coupling.guidance_scale_rule, lam_t)
-        if scale != 0.0:
-            nxt_a = nxt_a + scale * coupling_gradient(x0_a, x0_b, lam_t)
-            nxt_b = nxt_b + scale * coupling_gradient(x0_b, x0_a, lam_t)
-    return nxt_a, nxt_b
+    if lam_t == 0.0:
+        return None
+    scale = guidance_scale(schedule, t, t_next, coupling.guidance_scale_rule, lam_t)
+    if scale == 0.0:
+        return None
+    return (scale * coupling_gradient(x0_a, x0_b, lam_t),
+            scale * coupling_gradient(x0_b, x0_a, lam_t))
 
 
 def coupled_step(x_a, x_b, model_a: ScoreModel, model_b: ScoreModel,
@@ -191,17 +177,17 @@ def coupled_step(x_a, x_b, model_a: ScoreModel, model_b: ScoreModel,
     x_b = np.asarray(x_b, dtype=np.float64)
     eps_a = model_a.predict_epsilon(x_a, t, schedule)
     eps_b = model_b.predict_epsilon(x_b, t, schedule)
-    ab_t = schedule.alpha_bar_at(t)
-    x0_a = x0_from_epsilon(x_a, eps_a, ab_t)
-    x0_b = x0_from_epsilon(x_b, eps_b, ab_t)
     z_a = z_b = None
     if sampler_config.kind == "ancestral" and t > 1:
         z_a = rng.standard_normal(x_a.shape)
         z_b = z_a if coupling.noise_policy == "shared" else rng.standard_normal(x_b.shape)
-    return _coupled_core(
-        x_a, x_b, eps_a, eps_b, x0_a, x0_b, schedule, t, t - 1,
-        sampler_config, coupling, z_a, z_b,
-    )
+    kind, rule = sampler_config.kind, sampler_config.variance_rule
+    x0_a, nxt_a = _step(x_a, eps_a, z_a, schedule, t, t - 1, kind, rule)
+    x0_b, nxt_b = _step(x_b, eps_b, z_b, schedule, t, t - 1, kind, rule)
+    increments = _guidance(coupling, schedule, t, t - 1, x0_a, x0_b)
+    if increments is None:
+        return nxt_a, nxt_b
+    return nxt_a + increments[0], nxt_b + increments[1]
 
 
 def coupled_sample(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSchedule,
@@ -209,9 +195,11 @@ def coupled_sample(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSche
                    seed: int, n: int) -> CoupledRunResult:
     """Run n coupled chain pairs from independent x_T ~ N(0, I).
 
-    Chain noise comes from per-chain streams seeded by derive_seed(seed, 0|1);
-    under noise_policy "shared" chain B reuses chain A's stream, which also
-    makes the two initializations identical.
+    Both chains run sample()'s loop plus the guidance increments, so lam = 0
+    is two sample() runs by construction. Chain noise comes from per-chain
+    streams seeded by derive_seed(seed, 0|1); under noise_policy "shared"
+    chain B reuses chain A's stream, which also makes the two
+    initializations identical.
     """
     if model_a.dim != model_b.dim:
         raise ValueError("coupled chains must share a dimension")
@@ -219,75 +207,29 @@ def coupled_sample(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSche
         raise ValueError("n must be >= 1")
     if coupling.lambda_ramp is not None and len(coupling.lambda_ramp) != schedule.num_steps:
         raise ValueError("lambda_ramp length must equal the schedule step count")
-    d = model_a.dim
     steps = sampler_config.steps_for(schedule)
     seed_a = derive_seed(seed, CHAIN_A)
     seed_b = derive_seed(seed, CHAIN_B)
     stream_a = NoiseStream(seed_a)
     stream_b = stream_a if coupling.noise_policy == "shared" else NoiseStream(seed_b)
-
-    x_a = stream_a.normal((n, d), STREAM_INIT)
-    x_b = stream_b.normal((n, d), STREAM_INIT)
     series = np.empty(len(steps))
-    record = sampler_config.record_trajectory
-    rec: dict = {key: [] for key in ("x_a", "x0_a", "eps_a", "x_b", "x0_b", "eps_b")}
-    ancestral = sampler_config.kind == "ancestral"
 
-    for i, t in enumerate(steps):
-        def _eval(model, x, label):
-            try:
-                return model.predict_epsilon(x, t, schedule)
-            except Exception as exc:
-                raise RuntimeError(f"chain {label} model failed at step {t}") from exc
+    def guide(i, t, t_next, x0s):
+        series[i] = float(np.mean(np.linalg.norm(x0s[0] - x0s[1], axis=-1)))
+        return _guidance(coupling, schedule, t, t_next, *x0s)
 
-        eps_a = _eval(model_a, x_a, "A")
-        eps_b = _eval(model_b, x_b, "B")
-        ab_t = schedule.alpha_bar_at(t)
-        x0_a = x0_from_epsilon(x_a, eps_a, ab_t)
-        x0_b = x0_from_epsilon(x_b, eps_b, ab_t)
-        series[i] = float(np.mean(np.linalg.norm(x0_a - x0_b, axis=-1)))
-        if record:
-            for key, val in (("x_a", x_a), ("x0_a", x0_a), ("eps_a", eps_a),
-                             ("x_b", x_b), ("x0_b", x0_b), ("eps_b", eps_b)):
-                rec[key].append(val)
-        t_next = steps[i + 1] if i + 1 < len(steps) else 0
-        z_a = z_b = None
-        if ancestral and t_next != 0:
-            z_a = stream_a.normal((n, d), STREAM_STEP, t)
-            z_b = z_a if coupling.noise_policy == "shared" else stream_b.normal(
-                (n, d), STREAM_STEP, t
-            )
-        x_a, x_b = _coupled_core(
-            x_a, x_b, eps_a, eps_b, x0_a, x0_b, schedule, t, t_next,
-            sampler_config, coupling, z_a, z_b,
-        )
-
-    steps_arr = np.asarray(steps, dtype=np.int64)
-
-    def _batch(x, seed_chain, model, chain_key):
-        traj = None
-        if record:
-            xs = np.stack(rec[f"x_{chain_key}"])
-            x0s = np.stack(rec[f"x0_{chain_key}"])
-            epss = np.stack(rec[f"eps_{chain_key}"])
-            traj = tuple(
-                Trajectory(steps=steps_arr, x_t=xs[:, j], x0_hat=x0s[:, j],
-                           eps_hat=epss[:, j])
-                for j in range(n)
-            )
-        return SampleBatch(
-            samples=x,
-            seed=seed_chain,
-            fingerprint=config_fingerprint(model, schedule, sampler_config),
-            trajectories=traj,
-        )
-
-    return CoupledRunResult(
-        batch_a=_batch(x_a, seed_a, model_a, "a"),
-        batch_b=_batch(x_b, seed_b, model_b, "b"),
-        coupling_series=series,
-        series_steps=steps_arr,
+    models = (model_a, model_b)
+    xs, trajectories = _run_chains(
+        models, (stream_a, stream_b), ("chain A model failed", "chain B model failed"),
+        schedule, steps, sampler_config, n, guide,
     )
+    batch_a, batch_b = (
+        SampleBatch(samples=x, seed=chain_seed, trajectory=trajectory,
+                    fingerprint=config_fingerprint(model, schedule, sampler_config))
+        for x, chain_seed, model, trajectory in zip(xs, (seed_a, seed_b), models, trajectories)
+    )
+    return CoupledRunResult(batch_a=batch_a, batch_b=batch_b, coupling_series=series,
+                            series_steps=np.asarray(steps, dtype=np.int64))
 
 
 class _AveragedModel(ScoreModel):
@@ -327,8 +269,6 @@ class _AveragedModel(ScoreModel):
 def score_average_sample(models, weights, schedule: NoiseSchedule,
                          sampler_config: SamplerConfig, seed: int, n: int) -> SampleBatch:
     """Single chain driven by the weighted sum of epsilon-predictions."""
-    from .sampler import sample
-
     return sample(_AveragedModel(models, weights), schedule, sampler_config, seed, n)
 
 
@@ -344,15 +284,10 @@ def mv_edit_demo(scene: MvScene, schedule: NoiseSchedule, coupling: CouplingConf
     model_a = mv_edit_chain_model(scene)
     model_b = GmmScoreModel(mv_consistent_model(scene))
     result = coupled_sample(model_a, model_b, schedule, sampler_config, coupling, seed, n)
-    res_a = consistency_residual(result.batch_a.samples, scene.n_views, scene.view_dim)
-    res_b = consistency_residual(result.batch_b.samples, scene.n_views, scene.view_dim)
-    return CoupledRunResult(
-        batch_a=result.batch_a,
-        batch_b=result.batch_b,
-        coupling_series=result.coupling_series,
-        series_steps=result.series_steps,
-        residuals_a=res_a,
-        residuals_b=res_b,
+    return replace(
+        result,
+        residuals_a=consistency_residual(result.batch_a.samples, scene.n_views, scene.view_dim),
+        residuals_b=consistency_residual(result.batch_b.samples, scene.n_views, scene.view_dim),
     )
 
 

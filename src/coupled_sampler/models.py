@@ -59,6 +59,9 @@ class Gmm:
         k, d = mu.shape
         if w.shape != (k,) or L.shape != (k, d, d):
             raise ValueError("component count / dimension mismatch")
+        for name, arr in (("weights", w), ("means", mu), ("chol_factors", L)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
             raise ValueError("weights must be non-negative and sum to 1")
         diag = np.diagonal(L, axis1=-2, axis2=-1)
@@ -71,6 +74,8 @@ class Gmm:
     @classmethod
     def from_covariances(cls, weights, means, covariances) -> "Gmm":
         covs = np.asarray(covariances, dtype=np.float64)
+        if not np.all(np.isfinite(covs)):
+            raise ValueError("covariances must be finite")
         try:
             factors = np.linalg.cholesky(covs)
         except np.linalg.LinAlgError as exc:
@@ -108,11 +113,13 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mixture_eval(x, weights, means, chols, want_score: bool):
-    """Log density (and optionally score) of a Gaussian mixture at x.
+def _component_terms(x, weights, means, chols, whiten: bool):
+    """Per-component log(w_j N(x; mu_j, Sigma_j)) and Sigma_j^-1 (x - mu_j).
 
     x may carry arbitrary leading batch axes; the last axis is the event
-    dimension.
+    dimension. Returns (batch shape, (m, K) log terms, K whitened differences
+    of shape (d, m)); the whitened list is None unless whiten is set, so
+    density-only calls skip the back-solve.
     """
     x = np.asarray(x, dtype=np.float64)
     k, d = means.shape
@@ -120,10 +127,9 @@ def _mixture_eval(x, weights, means, chols, want_score: bool):
         raise ValueError(f"points have dimension {x.shape[-1]}, model has {d}")
     batch = x.shape[:-1]
     flat = x.reshape(-1, d)
-    m = flat.shape[0]
 
-    log_comp = np.empty((m, k))
-    zs = np.empty((m, k, d)) if want_score else None
+    log_comp = np.empty((flat.shape[0], k))
+    whitened = [] if whiten else None
     log_w = _log_weights(weights)
     for j in range(k):
         L = chols[j]
@@ -132,15 +138,21 @@ def _mixture_eval(x, weights, means, chols, want_score: bool):
         maha = np.einsum("im,im->m", y, y)
         log_det = float(np.sum(np.log(np.diag(L))))
         log_comp[:, j] = log_w[j] - 0.5 * maha - log_det - 0.5 * d * _LOG_2PI
-        if want_score:
-            zs[:, j, :] = solve_triangular(L.T, y, lower=False).T  # Sigma^-1 diff
+        if whiten:
+            whitened.append(solve_triangular(L.T, y, lower=False))
+    return batch, log_comp, whitened
 
+
+def _mixture_eval(x, weights, means, chols, want_score: bool):
+    """Log density (and optionally score) of a Gaussian mixture at x."""
+    batch, log_comp, whitened = _component_terms(x, weights, means, chols, want_score)
     log_p = logsumexp(log_comp, axis=1)
     if not want_score:
         return log_p.reshape(batch)
     resp = np.exp(log_comp - log_p[:, None])
+    zs = np.stack([u.T for u in whitened], axis=1)  # (m, K, d)
     score = -np.einsum("mk,mkd->md", resp, zs)
-    return log_p.reshape(batch), score.reshape(batch + (d,))
+    return log_p.reshape(batch), score.reshape(batch + (means.shape[1],))
 
 
 def _noised_params(g: Gmm, alpha_bar: float):
@@ -306,35 +318,17 @@ def velocity_from_gmm(g: Gmm, x, t_flow: float):
     t_flow = float(t_flow)
     if not 0.0 < t_flow < 1.0:
         raise ValueError("t_flow must lie strictly inside (0, 1)")
-    x = np.asarray(x, dtype=np.float64)
-    k, d = g.means.shape
-    if x.shape[-1] != d:
-        raise ValueError(f"points have dimension {x.shape[-1]}, model has {d}")
-    batch = x.shape[:-1]
-    flat = x.reshape(-1, d)
-    m = flat.shape[0]
-
     means, chols = _flow_params(g, t_flow)
+    # whitened[j] = C_j^-1 (x - t mu_j), (d, m)
+    batch, log_comp, whitened = _component_terms(x, g.weights, means, chols, whiten=True)
     sigmas = g.covariances()
-    log_comp = np.empty((m, k))
-    comp_v = np.empty((m, k, d))
-    log_w = _log_weights(g.weights)
-    one_minus_t = 1.0 - t_flow
-    for j in range(k):
-        L = chols[j]
-        diff = (flat - means[j]).T  # (d, m)
-        y = solve_triangular(L, diff, lower=True)
-        log_det = float(np.sum(np.log(np.diag(L))))
-        log_comp[:, j] = (
-            log_w[j] - 0.5 * np.einsum("im,im->m", y, y) - log_det - 0.5 * d * _LOG_2PI
-        )
-        u = solve_triangular(L.T, y, lower=False)  # C_j^-1 (x - t mu_j), (d, m)
-        e_x0 = g.means[j] + (t_flow * sigmas[j] @ u).T
-        e_eps = one_minus_t * u.T
-        comp_v[:, j, :] = e_x0 - e_eps
+    comp_v = np.stack([
+        (g.means[j] + (t_flow * sigmas[j] @ u).T) - (1.0 - t_flow) * u.T  # E[x_0] - E[eps]
+        for j, u in enumerate(whitened)
+    ], axis=1)  # (m, K, d)
     resp = np.exp(log_comp - logsumexp(log_comp, axis=1)[:, None])
     v = np.einsum("mk,mkd->md", resp, comp_v)
-    return v.reshape(batch + (d,))
+    return v.reshape(batch + (g.dim,))
 
 
 def score_from_velocity(v, x, t_flow: float):

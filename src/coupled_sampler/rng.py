@@ -1,10 +1,10 @@
 """Deterministic noise streams for reproducible sampling.
 
 Every draw is a pure function of (seed, labels, shape): a fresh Philox
-generator is keyed per call, so chains and steps can be evaluated in any
-order, on any number of workers, without changing a single bit of output.
-The per-chain noise at step t is row i of the (n, d) block addressed by
-(seed, STREAM_STEP, t).
+generator is keyed per call, so blocks can be drawn in any order without
+changing a single bit of output. The noise of chain i at step t is row i of
+the (n, d) block addressed by (seed, STREAM_STEP, t); a worker holding a
+shard of the chains cannot draw its rows alone, only the whole block.
 """
 
 from __future__ import annotations

@@ -16,8 +16,11 @@ The deterministic step drops the noise and keeps the full coefficient:
 x_{t-1} = sqrt(alpha_bar_{t-1}) x0_hat + sqrt(1 - alpha_bar_{t-1}) eps_hat.
 
 The final step (t = 1) never injects noise and returns the clean estimate
-exactly. All randomness is addressed by (seed, stream, step), so batches are
-reproducible bit-for-bit regardless of evaluation order or worker count.
+exactly. Single and coupled runs share one step kernel (_step) and one loop
+(_run_chains); the public step functions wrap the same kernel. Each step's
+(n, d) noise block is addressed by (seed, stream, step), so a batch is
+bit-reproducible from (seed, config); a shard of the n chains cannot yet
+draw only its own rows.
 """
 
 from __future__ import annotations
@@ -83,12 +86,13 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-step (t, x_t, x0_hat, eps_hat) records, ordered by decreasing t."""
+    """Per-step (t, x_t, x0_hat, eps_hat) records of all n chains, ordered by
+    decreasing t; chain i's records are [:, i]."""
 
     steps: np.ndarray  # (S,)
-    x_t: np.ndarray  # (S, d)
-    x0_hat: np.ndarray  # (S, d)
-    eps_hat: np.ndarray  # (S, d)
+    x_t: np.ndarray  # (S, n, d)
+    x0_hat: np.ndarray  # (S, n, d)
+    eps_hat: np.ndarray  # (S, n, d)
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,7 @@ class SampleBatch:
     samples: np.ndarray  # (n, d)
     seed: int
     fingerprint: str
-    trajectories: tuple | None = None
+    trajectory: Trajectory | None = None
 
     @property
     def n(self) -> int:
@@ -131,14 +135,22 @@ def step_coefficients(schedule: NoiseSchedule, t: int, t_next: int, variance_rul
     return ab_t, ab_next, beta_eff, math.sqrt(var)
 
 
-def _ancestral_mean(x_t, eps_hat, ab_t: float, beta_eff: float):
-    return (x_t - beta_eff / math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(
-        1.0 - beta_eff
-    )
+def _step(x_t, eps_hat, z, schedule: NoiseSchedule, t: int, t_next: int,
+          kind: str, variance_rule: str = DEFAULT_VARIANCE_RULE):
+    """The reverse-step kernel: (x0_hat, x_{t_next}) for one chain.
 
-
-def _deterministic_update(x0_hat, eps_hat, ab_next: float):
-    return math.sqrt(ab_next) * x0_hat + math.sqrt(1.0 - ab_next) * eps_hat
+    z is the ancestral noise block, unused when kind is "deterministic" or
+    t_next = 0; the jump to t_next = 0 returns the clean estimate.
+    """
+    x0 = x0_from_epsilon(x_t, eps_hat, schedule.alpha_bar_at(t))
+    if t_next == 0:
+        return x0, x0
+    if kind == "deterministic":
+        ab_next = schedule.alpha_bar_at(t_next)
+        return x0, math.sqrt(ab_next) * x0 + math.sqrt(1.0 - ab_next) * eps_hat
+    ab_t, _, beta_eff, sigma = step_coefficients(schedule, t, t_next, variance_rule)
+    mean = (x_t - beta_eff / math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(1.0 - beta_eff)
+    return x0, mean + sigma * z
 
 
 def ddpm_step(x_t, eps_hat, t: int, schedule: NoiseSchedule, rng,
@@ -147,11 +159,8 @@ def ddpm_step(x_t, eps_hat, t: int, schedule: NoiseSchedule, rng,
     schedule._check_step(t)
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    if t == 1:
-        return x0_from_epsilon(x_t, eps_hat, schedule.alpha_bar_at(1))
-    ab_t, _, beta_eff, sigma = step_coefficients(schedule, t, t - 1, variance_rule)
-    z = rng.standard_normal(x_t.shape)
-    return _ancestral_mean(x_t, eps_hat, ab_t, beta_eff) + sigma * z
+    z = rng.standard_normal(x_t.shape) if t > 1 else None
+    return _step(x_t, eps_hat, z, schedule, t, t - 1, "ancestral", variance_rule)[1]
 
 
 def ddim_step(x_t, eps_hat, t: int, schedule: NoiseSchedule):
@@ -159,10 +168,7 @@ def ddim_step(x_t, eps_hat, t: int, schedule: NoiseSchedule):
     schedule._check_step(t)
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    x0 = x0_from_epsilon(x_t, eps_hat, schedule.alpha_bar_at(t))
-    if t == 1:
-        return x0
-    return _deterministic_update(x0, eps_hat, schedule.alpha_bar_at(t - 1))
+    return _step(x_t, eps_hat, None, schedule, t, t - 1, "deterministic")[1]
 
 
 def config_fingerprint(model: ScoreModel, schedule: NoiseSchedule,
@@ -176,53 +182,69 @@ def config_fingerprint(model: ScoreModel, schedule: NoiseSchedule,
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _draw(streams, shape, *labels) -> list:
+    """One block per distinct stream; chains sharing a stream share its block."""
+    blocks = {stream: stream.normal(shape, *labels) for stream in dict.fromkeys(streams)}
+    return [blocks[stream] for stream in streams]
+
+
+def _run_chains(models, streams, failures, schedule: NoiseSchedule, steps,
+                config: SamplerConfig, n: int, guide=None):
+    """The sampling loop: K chains of n points each, in lockstep from x_T ~ N(0, I).
+
+    Chain k evaluates models[k] and draws from streams[k]; its model errors
+    re-raise as "<failures[k]> at step t". After the chains' own updates,
+    guide(i, t, t_next, x0_hats) may return one increment per chain, or None.
+    Returns the final states and one Trajectory (or None) per chain.
+    """
+    d = models[0].dim
+    xs = _draw(streams, (n, d), STREAM_INIT)
+    records = [[] for _ in models]
+    for i, t in enumerate(steps):
+        eps = []
+        for model, x, failure in zip(models, xs, failures):
+            try:
+                eps.append(model.predict_epsilon(x, t, schedule))
+            except Exception as exc:
+                raise RuntimeError(f"{failure} at step {t}") from exc
+        t_next = steps[i + 1] if i + 1 < len(steps) else 0
+        zs = [None] * len(models)
+        if config.kind == "ancestral" and t_next != 0:
+            zs = _draw(streams, (n, d), STREAM_STEP, t)
+        x0s, nxts = zip(*(
+            _step(x, e, z, schedule, t, t_next, config.kind, config.variance_rule)
+            for x, e, z in zip(xs, eps, zs)
+        ))
+        if config.record_trajectory:
+            for rec, x, x0, e in zip(records, xs, x0s, eps):
+                rec.append((x, x0, e))
+        increments = guide(i, t, t_next, x0s) if guide is not None else None
+        if increments is not None:
+            nxts = [nxt + inc for nxt, inc in zip(nxts, increments)]
+        xs = list(nxts)
+
+    if not config.record_trajectory:
+        return xs, [None] * len(models)
+    steps_arr = np.asarray(steps, dtype=np.int64)
+    return xs, [
+        Trajectory(steps_arr, *(np.stack(field) for field in zip(*rec)))
+        for rec in records
+    ]
+
+
 def sample(model: ScoreModel, schedule: NoiseSchedule, config: SamplerConfig,
            seed: int, n: int) -> SampleBatch:
     """Run n independent reverse chains from x_T ~ N(0, I)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = model.dim
     steps = config.steps_for(schedule)
-    stream = NoiseStream(seed)
-    x = stream.normal((n, d), STREAM_INIT)
-
-    rec_steps, rec_x, rec_x0, rec_eps = [], [], [], []
-    for i, t in enumerate(steps):
-        try:
-            eps = model.predict_epsilon(x, t, schedule)
-        except Exception as exc:
-            raise RuntimeError(f"model evaluation failed at step {t}") from exc
-        x0 = x0_from_epsilon(x, eps, schedule.alpha_bar_at(t))
-        if config.record_trajectory:
-            rec_steps.append(t)
-            rec_x.append(x)
-            rec_x0.append(x0)
-            rec_eps.append(eps)
-        t_next = steps[i + 1] if i + 1 < len(steps) else 0
-        if t_next == 0:
-            x = x0
-        elif config.kind == "deterministic":
-            x = _deterministic_update(x0, eps, schedule.alpha_bar_at(t_next))
-        else:
-            ab_t, _, beta_eff, sigma = step_coefficients(
-                schedule, t, t_next, config.variance_rule
-            )
-            z = stream.normal((n, d), STREAM_STEP, t)
-            x = _ancestral_mean(x, eps, ab_t, beta_eff) + sigma * z
-
-    trajectories = None
-    if config.record_trajectory:
-        steps_arr = np.asarray(rec_steps, dtype=np.int64)
-        xs = np.stack(rec_x)  # (S, n, d)
-        x0s = np.stack(rec_x0)
-        epss = np.stack(rec_eps)
-        trajectories = tuple(
-            Trajectory(steps=steps_arr, x_t=xs[:, i], x0_hat=x0s[:, i], eps_hat=epss[:, i])
-            for i in range(n)
-        )
+    (x,), (trajectory,) = _run_chains(
+        [model], [NoiseStream(seed)], ["model evaluation failed"], schedule, steps,
+        config, n,
+    )
     return SampleBatch(
         samples=x,
         seed=int(seed),
         fingerprint=config_fingerprint(model, schedule, config),
-        trajectories=trajectories,
+        trajectory=trajectory,
     )

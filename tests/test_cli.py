@@ -84,6 +84,25 @@ class TestSampleCommand:
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert lines[0].startswith("chain_index,step,x_0")
         assert len(lines) == 1 + 4 * 60
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        # chain by chain: every step of chain 0, then chain 1, ...
+        assert [(int(r[0]), int(r[1])) for r in rows] == [
+            (i, t) for i in range(4) for t in range(60, 0, -1)
+        ]
+        x0_cols = [k for k, name in enumerate(header) if name.startswith("x0_hat_")]
+        samples = (out / "samples.csv").read_text().splitlines()[1:]
+        for i, line in enumerate(samples):
+            last = rows[60 * i + 59]
+            assert [last[k] for k in x0_cols] == line.split(",")[1:]
+
+    def test_non_finite_mixture_rejected(self, tmp_path, capsys):
+        model = {"weights": [1.0], "means": [[float("nan"), 0.0]],
+                 "covariances": [[[1.0, 0.0], [0.0, 1.0]]]}
+        cfg = write_config(tmp_path, sample_config(model=model))
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "model" in err and "finite" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["sample", "--config", str(tmp_path / "nope.json"),
@@ -184,6 +203,37 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(out_a)]) == 0
         assert main(["sweep", "--config", cfg, "--out", str(out_b)]) == 0
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
+
+
+def _set_lambda(doc, value):
+    doc["coupling"]["lambda"] = value
+
+
+def _set_grid(doc, value):
+    del doc["coupling"]
+    doc["lambda_grid"] = [0.0, 1.0, value]
+
+
+def _set_schedule(key):
+    def mutate(doc, value):
+        doc["schedule"][key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize("command, mutate, key", [
+    ("couple", _set_lambda, "coupling.lambda"),
+    ("sweep", _set_grid, "lambda_grid"),
+    ("sample", _set_schedule("beta_end"), "schedule.beta_end"),
+    ("sample", _set_schedule("shift"), "schedule.shift"),
+], ids=["lambda", "lambda_grid", "beta_end", "shift"])
+def test_non_finite_number_rejected(tmp_path, capsys, command, mutate, key, value):
+    doc = sample_config() if command == "sample" else couple_config()
+    mutate(doc, value)
+    cfg = write_config(tmp_path, doc)  # json writes Infinity / NaN
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
 
 
 class TestScheduleCommand:

@@ -30,6 +30,23 @@ def short_schedule():
     return build_linear(60, 1e-3, 0.2)
 
 
+def assert_lambda_zero_reduction(cfg, seed=19, n=32):
+    """A lambda = 0 coupled run is bit-for-bit two sample() runs."""
+    sched = short_schedule()
+    ma, mb = gaussian_model([-2.0, 0.0]), gaussian_model([2.0, 0.0])
+    run = coupled_sample(ma, mb, sched, cfg, CouplingConfig(lam=0.0), seed, n)
+    for batch, model, chain in ((run.batch_a, ma, CHAIN_A), (run.batch_b, mb, CHAIN_B)):
+        solo = sample(model, sched, cfg, derive_seed(seed, chain), n)
+        assert np.array_equal(batch.samples, solo.samples)
+        if not cfg.record_trajectory:
+            assert batch.trajectory is None and solo.trajectory is None
+            continue
+        for field in ("steps", "x_t", "x0_hat", "eps_hat"):
+            assert np.array_equal(getattr(batch.trajectory, field),
+                                  getattr(solo.trajectory, field))
+        assert batch.trajectory.x_t.shape == (len(cfg.steps_for(sched)), n, 2)
+
+
 class TestEnergyAndGradient:
     def test_coincident_points(self):
         x = np.array([0.3, -0.4])
@@ -118,6 +135,9 @@ class TestCouplingConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             CouplingConfig(lam=-0.5)
+        for lam in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                CouplingConfig(lam=lam)
         with pytest.raises(ValueError):
             CouplingConfig(guidance_scale_rule="none")
         with pytest.raises(ValueError):
@@ -198,15 +218,16 @@ class TestCoupledStep:
 
 class TestCoupledSample:
     def test_lambda_zero_reduction_bitwise(self):
-        sched = short_schedule()
-        ma, mb = gaussian_model([-2.0, 0.0]), gaussian_model([2.0, 0.0])
-        cfg = SamplerConfig()
-        seed = 19
-        run = coupled_sample(ma, mb, sched, cfg, CouplingConfig(lam=0.0), seed, 32)
-        solo_a = sample(ma, sched, cfg, derive_seed(seed, CHAIN_A), 32)
-        solo_b = sample(mb, sched, cfg, derive_seed(seed, CHAIN_B), 32)
-        assert np.array_equal(run.batch_a.samples, solo_a.samples)
-        assert np.array_equal(run.batch_b.samples, solo_b.samples)
+        assert_lambda_zero_reduction(SamplerConfig())
+
+    @pytest.mark.parametrize("cfg", [
+        SamplerConfig(kind="deterministic"),
+        SamplerConfig(variance_rule="beta_tilde"),
+        SamplerConfig(step_subset=(60, 45, 31, 20, 8, 3, 1)),
+        SamplerConfig(record_trajectory=True),
+    ], ids=["deterministic", "beta_tilde", "step_subset", "record_trajectory"])
+    def test_lambda_zero_reduction_bitwise_variants(self, cfg):
+        assert_lambda_zero_reduction(cfg)
 
     def test_symmetric_fixed_point_shared_noise(self):
         sched = short_schedule()

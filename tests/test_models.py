@@ -48,6 +48,22 @@ class TestGmmConstruction:
         with pytest.raises(ValueError, match="weights"):
             Gmm.from_covariances([1.5, -0.5], np.zeros((2, 2)), [np.eye(2)] * 2)
 
+    @pytest.mark.parametrize("weights, mean, cov, field", [
+        ([math.nan, 1.0], [0.0, 0.0], np.eye(2), "weights"),
+        ([math.inf, 0.0], [0.0, 0.0], np.eye(2), "weights"),
+        ([0.5, 0.5], [math.nan, 0.0], np.eye(2), "means"),
+        ([0.5, 0.5], [0.0, -math.inf], np.eye(2), "means"),
+        ([0.5, 0.5], [0.0, 0.0], [[math.nan, 0.0], [0.0, 1.0]], "covariances"),
+    ], ids=["nan-weight", "inf-weight", "nan-mean", "inf-mean", "nan-covariance"])
+    def test_rejects_non_finite_entries(self, weights, mean, cov, field):
+        with pytest.raises(ValueError, match=field):
+            Gmm.from_covariances(weights, [mean, [1.0, 1.0]], [cov, np.eye(2)])
+
+    def test_rejects_non_finite_factor(self):
+        factor = np.array([[1.0, 0.0], [math.inf, 1.0]])
+        with pytest.raises(ValueError, match="chol_factors"):
+            Gmm(weights=np.ones(1), means=np.zeros((1, 2)), chol_factors=factor[None])
+
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValueError, match="positive definite"):
             Gmm.from_covariances([1.0], [[0.0, 0.0]], [[[1.0, 2.0], [2.0, 1.0]]])

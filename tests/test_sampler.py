@@ -164,13 +164,13 @@ class TestSample:
         sched = build_linear(12, 0.01, 0.2)
         cfg = SamplerConfig(record_trajectory=True)
         batch = sample(std_normal_model(), sched, cfg, seed=1, n=3)
-        assert len(batch.trajectories) == 3
-        traj = batch.trajectories[1]
+        traj = batch.trajectory
+        assert traj.x_t.shape == traj.x0_hat.shape == traj.eps_hat.shape == (12, 3, 2)
         assert traj.steps.tolist() == list(range(12, 0, -1))
         for s in range(12):
             ab = sched.alpha_bar_at(int(traj.steps[s]))
-            assert traj.x0_hat[s] == pytest.approx(
-                x0_from_epsilon(traj.x_t[s], traj.eps_hat[s], ab), rel=1e-12
+            assert traj.x0_hat[s, 1] == pytest.approx(
+                x0_from_epsilon(traj.x_t[s, 1], traj.eps_hat[s, 1], ab), rel=1e-12
             )
 
     def test_step_subset_runs_and_stays_deterministic(self):

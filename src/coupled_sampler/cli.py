@@ -12,31 +12,28 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .coupling import (
-    GUIDANCE_RULES,
-    NOISE_POLICIES,
-    CouplingConfig,
-    coupled_sample,
-    mv_edit_demo,
-)
+from .coupling import CouplingConfig, coupled_sample
 from .emit import curves_svg, scatter_svg, write_csv, write_json
 from .metrics import (
     MetricReport,
     SweepPoint,
+    consistency_residual,
     coupling_distance,
     energy_permutation_test,
     gmm_nll,
     sweep_summary,
 )
 from .models import Gmm, GmmScoreModel, gmm_sample, mv_edit_chain_model, mv_consistent_model
-from .presets import PresetError, resolve_gmm, resolve_pair, resolve_scene
-from .rng import generator
-from .sampler import KINDS, VARIANCE_RULES, SamplerConfig, sample
+from .presets import resolve_gmm, resolve_pair, resolve_scene
+from .rng import _check_seed, generator
+from .sampler import SamplerConfig, sample
 from .schedule import (
     NoiseSchedule,
     align_schedules,
@@ -58,10 +55,12 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config validation
+# config validation: the CLI checks JSON shape (keys, types, finiteness, the
+# n/seed bounds); the library constructors check values.
 
 
 def _require(doc: dict, path: str, allowed: dict) -> dict:
+    """Checked values of the keys present in doc."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
     unknown = set(doc) - set(allowed)
@@ -71,42 +70,56 @@ def _require(doc: dict, path: str, allowed: dict) -> dict:
     out = {}
     for key, (required, check) in allowed.items():
         loc = f"{path + '.' if path else ''}{key}"
-        if key not in doc:
-            if required:
-                raise ConfigError(f"{loc}: missing required key")
-            out[key] = None
-        else:
+        if key in doc:
             out[key] = check(doc[key], loc)
+        elif required:
+            raise ConfigError(f"{loc}: missing required key")
     return out
 
 
-def _as_int(lo=None, hi=None):
-    def check(v, loc):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{loc}: expected an integer")
-        if lo is not None and v < lo:
-            raise ConfigError(f"{loc}: must be >= {lo}, got {v}")
-        if hi is not None and v > hi:
-            raise ConfigError(f"{loc}: must be <= {hi}, got {v}")
-        return v
-
-    return check
+@contextmanager
+def _building(loc):
+    """Re-raise a library constructor's ValueError as a config error at loc."""
+    try:
+        yield
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{loc}: {exc}") from exc
 
 
-def _as_number(lo=None, strict_lo=None):
-    def check(v, loc):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{loc}: expected a number")
+def _as_is(v, loc):
+    return v
+
+
+def _as_int(v, loc):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{loc}: expected an integer")
+    return v
+
+
+def _as_positive_int(v, loc):
+    if _as_int(v, loc) < 1:
+        raise ConfigError(f"{loc}: must be >= 1, got {v}")
+    return v
+
+
+def _as_seed(v, loc):
+    v = _as_int(v, loc)
+    with _building(loc):
+        return _check_seed(v)
+
+
+def _as_number(v, loc):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{loc}: expected a number")
+    try:
         v = float(v)
-        if not math.isfinite(v):
-            raise ConfigError(f"{loc}: must be finite, got {v}")
-        if lo is not None and v < lo:
-            raise ConfigError(f"{loc}: must be >= {lo}, got {v}")
-        if strict_lo is not None and v <= strict_lo:
-            raise ConfigError(f"{loc}: must be > {strict_lo}, got {v}")
-        return v
-
-    return check
+    except OverflowError:
+        raise ConfigError(
+            f"{loc}: must be finite, got an integer too large for a float"
+        ) from None
+    if not math.isfinite(v):
+        raise ConfigError(f"{loc}: must be finite, got {v}")
+    return v
 
 
 def _as_bool(v, loc):
@@ -115,138 +128,90 @@ def _as_bool(v, loc):
     return v
 
 
-def _as_choice(options):
-    def check(v, loc):
-        if v not in options:
-            raise ConfigError(f"{loc}: must be one of {options}, got {v!r}")
-        return v
-
-    return check
-
-
 def _as_model_spec(v, loc):
     if not isinstance(v, (str, dict)):
         raise ConfigError(f"{loc}: expected a preset name or inline object")
     return v
 
 
-def _as_number_list(min_len=1):
+def _as_list(item):
     def check(v, loc):
-        if not isinstance(v, list) or len(v) < min_len:
-            raise ConfigError(f"{loc}: expected a list of at least {min_len} numbers")
-        out = []
-        for i, item in enumerate(v):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ConfigError(f"{loc}[{i}]: expected a number")
-            item = float(item)
-            if not math.isfinite(item):
-                raise ConfigError(f"{loc}[{i}]: must be finite, got {item}")
-            out.append(item)
-        return out
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"{loc}: expected a non-empty list")
+        return [item(x, f"{loc}[{i}]") for i, x in enumerate(v)]
 
     return check
 
 
-def _as_int_list(v, loc):
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{loc}: expected a non-empty list of integers")
-    out = []
-    for i, item in enumerate(v):
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise ConfigError(f"{loc}[{i}]: expected an integer")
-        out.append(item)
-    return out
-
-
 _SCHEDULE_SCHEMA = {
-    "num_steps": (True, _as_int(lo=1)),
-    "beta_start": (True, _as_number(strict_lo=0.0)),
-    "beta_end": (True, _as_number(strict_lo=0.0)),
-    "shift": (False, _as_number(strict_lo=0.0)),
+    "num_steps": (True, _as_int),
+    "beta_start": (True, _as_number),
+    "beta_end": (True, _as_number),
+    "shift": (False, _as_number),
 }
 
 _SAMPLER_SCHEMA = {
-    "kind": (False, _as_choice(KINDS)),
-    "variance_rule": (False, _as_choice(VARIANCE_RULES)),
+    "kind": (False, _as_is),
+    "variance_rule": (False, _as_is),
     "record_trajectory": (False, _as_bool),
-    "step_subset": (False, _as_int_list),
+    "step_subset": (False, _as_list(_as_int)),
 }
 
 _COUPLING_SCHEMA = {
-    "lambda": (False, _as_number(lo=0.0)),
-    "guidance_scale_rule": (False, _as_choice(GUIDANCE_RULES)),
-    "noise_policy": (False, _as_choice(NOISE_POLICIES)),
-    "lambda_ramp": (False, _as_number_list(min_len=1)),
+    "lambda": (False, _as_number),
+    "guidance_scale_rule": (False, _as_is),
+    "noise_policy": (False, _as_is),
+    "lambda_ramp": (False, _as_list(_as_number)),
 }
 
 
 def parse_schedule_cfg(doc, loc="schedule") -> NoiseSchedule:
-    if doc is None:
-        raise ConfigError(f"{loc}: missing required key")
     fields = _require(doc, loc, _SCHEDULE_SCHEMA)
-    if not fields["beta_start"] <= fields["beta_end"]:
-        raise ConfigError(f"{loc}.beta_start: must not exceed beta_end")
-    if fields["beta_end"] >= 1.0:
-        raise ConfigError(f"{loc}.beta_end: must be < 1")
-    try:
+    with _building(loc):
         sched = build_linear(fields["num_steps"], fields["beta_start"], fields["beta_end"])
-        if fields["shift"] is not None:
+        if "shift" in fields:
             sched = shift_schedule(sched, fields["shift"])
-    except ValueError as exc:
-        raise ConfigError(f"{loc}: {exc}") from exc
     return sched
 
 
-def parse_sampler_cfg(doc, loc="sampler") -> SamplerConfig:
-    fields = _require(doc or {}, loc, _SAMPLER_SCHEMA)
-    kwargs = {}
-    if fields["kind"] is not None:
-        kwargs["kind"] = fields["kind"]
-    if fields["variance_rule"] is not None:
-        kwargs["variance_rule"] = fields["variance_rule"]
-    if fields["record_trajectory"] is not None:
-        kwargs["record_trajectory"] = fields["record_trajectory"]
-    if fields["step_subset"] is not None:
-        kwargs["step_subset"] = tuple(fields["step_subset"])
-    try:
-        return SamplerConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{loc}: {exc}") from exc
+def parse_sampler_cfg(doc, schedule: NoiseSchedule, loc="sampler") -> SamplerConfig:
+    fields = _require(doc, loc, _SAMPLER_SCHEMA)
+    with _building(loc):
+        cfg = SamplerConfig(**fields)
+        cfg.steps_for(schedule)
+    return cfg
 
 
-def parse_coupling_cfg(doc, loc="coupling", allow_lambda=True) -> CouplingConfig:
+def parse_coupling_cfg(doc, schedule: NoiseSchedule, loc="coupling",
+                       allow_lambda=True) -> CouplingConfig:
     schema = dict(_COUPLING_SCHEMA)
     if not allow_lambda:
         schema.pop("lambda")
-    fields = _require(doc or {}, loc, schema)
-    kwargs = {}
-    if allow_lambda and fields["lambda"] is not None:
-        kwargs["lam"] = fields["lambda"]
-    if fields["guidance_scale_rule"] is not None:
-        kwargs["guidance_scale_rule"] = fields["guidance_scale_rule"]
-    if fields["noise_policy"] is not None:
-        kwargs["noise_policy"] = fields["noise_policy"]
-    if fields["lambda_ramp"] is not None:
-        kwargs["lambda_ramp"] = tuple(fields["lambda_ramp"])
-    try:
-        return CouplingConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{loc}: {exc}") from exc
+    fields = _require(doc, loc, schema)
+    if "lambda" in fields:
+        fields["lam"] = fields.pop("lambda")
+    with _building(loc):
+        cfg = CouplingConfig(**fields)
+    ramp = cfg.lambda_ramp
+    if ramp is not None and len(ramp) != schedule.num_steps:
+        raise ConfigError(
+            f"{loc}.lambda_ramp: length must equal schedule.num_steps "
+            f"({schedule.num_steps}), got {len(ramp)}"
+        )
+    return cfg
 
 
 def _resolve_gmm_cfg(spec, loc) -> Gmm:
-    try:
+    with _building(loc):
         return resolve_gmm(spec)
-    except (PresetError, ValueError, KeyError) as exc:
-        raise ConfigError(f"{loc}: {exc}") from exc
 
 
 _SAMPLE_SCHEMA = {
     "model": (True, _as_model_spec),
-    "schedule": (True, lambda v, loc: v),
-    "sampler": (False, lambda v, loc: v),
-    "n": (True, _as_int(lo=1)),
-    "seed": (True, _as_int(lo=0)),
+    "schedule": (True, _as_is),
+    "sampler": (False, _as_is),
+    "n": (True, _as_positive_int),
+    "seed": (True, _as_seed),
     "svg": (False, _as_bool),
 }
 
@@ -255,16 +220,16 @@ _COUPLE_SCHEMA = {
     "model_b": (False, _as_model_spec),
     "pair": (False, _as_model_spec),
     "scene": (False, _as_model_spec),
-    "schedule": (True, lambda v, loc: v),
-    "sampler": (False, lambda v, loc: v),
-    "coupling": (False, lambda v, loc: v),
-    "n": (True, _as_int(lo=1)),
-    "seed": (True, _as_int(lo=0)),
+    "schedule": (True, _as_is),
+    "sampler": (False, _as_is),
+    "coupling": (False, _as_is),
+    "n": (True, _as_positive_int),
+    "seed": (True, _as_seed),
     "svg": (False, _as_bool),
 }
 
 _SWEEP_SCHEMA = dict(_COUPLE_SCHEMA)
-_SWEEP_SCHEMA["lambda_grid"] = (True, _as_number_list(min_len=1))
+_SWEEP_SCHEMA["lambda_grid"] = (True, _as_list(_as_number))
 
 
 def _load_config(path: str, seed_override) -> dict:
@@ -283,31 +248,24 @@ def _load_config(path: str, seed_override) -> dict:
 
 def _resolve_couple_models(fields):
     """-> (model_a, model_b, gmm_a, gmm_b, scene, reference)."""
-    sources = [k for k in ("pair", "scene") if fields[k] is not None]
-    if fields["model_a"] is not None or fields["model_b"] is not None:
+    sources = [k for k in ("pair", "scene") if k in fields]
+    if "model_a" in fields or "model_b" in fields:
         sources.append("model_a/model_b")
-        if fields["model_a"] is None or fields["model_b"] is None:
+        if "model_a" not in fields or "model_b" not in fields:
             raise ConfigError("model_a: model_a and model_b must be given together")
     if len(sources) != 1:
         raise ConfigError(
             "config: exactly one of pair, scene, or model_a/model_b is required"
         )
     reference = {}
-    scene = None
-    if fields["scene"] is not None:
-        try:
+    if "scene" in fields:
+        with _building("scene"):
             scene = resolve_scene(fields["scene"])
-        except (PresetError, ValueError, KeyError) as exc:
-            raise ConfigError(f"scene: {exc}") from exc
-        model_a = mv_edit_chain_model(scene)
         joint = mv_consistent_model(scene)
-        model_b = GmmScoreModel(joint)
-        return model_a, model_b, None, joint, scene, reference
-    if fields["pair"] is not None:
-        try:
+        return mv_edit_chain_model(scene), GmmScoreModel(joint), None, joint, scene, reference
+    if "pair" in fields:
+        with _building("pair"):
             gmm_a, gmm_b, reference = resolve_pair(fields["pair"])
-        except (PresetError, ValueError, KeyError) as exc:
-            raise ConfigError(f"pair: {exc}") from exc
     else:
         gmm_a = _resolve_gmm_cfg(fields["model_a"], "model_a")
         gmm_b = _resolve_gmm_cfg(fields["model_b"], "model_b")
@@ -361,7 +319,7 @@ def cmd_sample(args) -> int:
     fields = _require(doc, "", _SAMPLE_SCHEMA)
     gmm = _resolve_gmm_cfg(fields["model"], "model")
     sched = parse_schedule_cfg(fields["schedule"])
-    cfg = parse_sampler_cfg(fields["sampler"])
+    cfg = parse_sampler_cfg(fields.get("sampler", {}), sched)
     n, seed = fields["n"], fields["seed"]
 
     out = _out_dir(args)
@@ -384,12 +342,16 @@ def cmd_sample(args) -> int:
         {"command": "sample", "seed": seed, "fingerprint": batch.fingerprint,
          "config": doc},
     )
-    if fields["svg"]:
+    if fields.get("svg"):
         (out / "scatter.svg").write_text(
             scatter_svg([(batch.samples, "#1b6ca8"), (exact, "#bbbbbb")])
         )
     print(f"wrote {out}/samples.csv ({n} samples, fingerprint {batch.fingerprint})")
     return 0
+
+
+def _median_residual(scene, batch) -> float:
+    return float(np.median(consistency_residual(batch.samples, scene.n_views, scene.view_dim)))
 
 
 def _couple_reports(result, gmm_a, gmm_b, scene, reference, n, seed):
@@ -408,14 +370,11 @@ def _couple_reports(result, gmm_a, gmm_b, scene, reference, n, seed):
             MetricReport("nll-b", gmm_nll(gmm_b, result.batch_b), sample_count=n, seed=seed)
         )
     if scene is not None:
-        reports.append(MetricReport(
-            "consistency-residual-a", float(np.median(result.residuals_a)),
-            sample_count=n, seed=seed,
-        ))
-        reports.append(MetricReport(
-            "consistency-residual-b", float(np.median(result.residuals_b)),
-            sample_count=n, seed=seed,
-        ))
+        for label, batch in (("a", result.batch_a), ("b", result.batch_b)):
+            reports.append(MetricReport(
+                f"consistency-residual-{label}", _median_residual(scene, batch),
+                sample_count=n, seed=seed,
+            ))
     ref = (reference or {}).get("coupling_median_lambda0")
     if ref is not None:
         reports.append(MetricReport.thresholded(
@@ -429,17 +388,13 @@ def cmd_couple(args) -> int:
     doc = _load_config(args.config, args.seed)
     fields = _require(doc, "", _COUPLE_SCHEMA)
     sched = parse_schedule_cfg(fields["schedule"])
-    sampler_cfg = parse_sampler_cfg(fields["sampler"])
-    coupling_cfg = parse_coupling_cfg(fields["coupling"])
+    sampler_cfg = parse_sampler_cfg(fields.get("sampler", {}), sched)
+    coupling_cfg = parse_coupling_cfg(fields.get("coupling", {}), sched)
     n, seed = fields["n"], fields["seed"]
     model_a, model_b, gmm_a, gmm_b, scene, reference = _resolve_couple_models(fields)
 
     out = _out_dir(args)
-    if scene is not None:
-        result = mv_edit_demo(scene, sched, coupling_cfg, seed, n, sampler_cfg)
-    else:
-        result = coupled_sample(model_a, model_b, sched, sampler_cfg, coupling_cfg, seed, n)
-
+    result = coupled_sample(model_a, model_b, sched, sampler_cfg, coupling_cfg, seed, n)
     reports = _couple_reports(result, gmm_a, gmm_b, scene, reference, n, seed)
     _samples_csv(out / "samples_a.csv", result.batch_a.samples)
     _samples_csv(out / "samples_b.csv", result.batch_b.samples)
@@ -459,7 +414,7 @@ def cmd_couple(args) -> int:
             "config": doc,
         },
     )
-    if fields["svg"]:
+    if fields.get("svg"):
         (out / "paired_scatter.svg").write_text(
             scatter_svg(
                 [(result.batch_a.samples, "#999999"), (result.batch_b.samples, "#d95f02")],
@@ -478,38 +433,29 @@ def cmd_sweep(args) -> int:
         raise ConfigError("lambda_grid: need at least 3 grid points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("lambda_grid: values must be strictly increasing")
-    if any(v < 0 for v in grid):
-        raise ConfigError("lambda_grid: values must be non-negative")
     sched = parse_schedule_cfg(fields["schedule"])
-    sampler_cfg = parse_sampler_cfg(fields["sampler"])
-    base_coupling = parse_coupling_cfg(fields["coupling"], allow_lambda=False)
+    sampler_cfg = parse_sampler_cfg(fields.get("sampler", {}), sched)
+    base_coupling = parse_coupling_cfg(fields.get("coupling", {}), sched, allow_lambda=False)
+    couplings = []
+    for i, lam in enumerate(grid):
+        with _building(f"lambda_grid[{i}]"):
+            couplings.append(replace(base_coupling, lam=lam))
     n, seed = fields["n"], fields["seed"]
     model_a, model_b, gmm_a, gmm_b, scene, _ = _resolve_couple_models(fields)
 
     out = _out_dir(args)
     points = []
-    for lam in grid:
-        cpl = CouplingConfig(
-            lam=lam,
-            guidance_scale_rule=base_coupling.guidance_scale_rule,
-            noise_policy=base_coupling.noise_policy,
-            lambda_ramp=base_coupling.lambda_ramp,
-        )
-        if scene is not None:
-            result = mv_edit_demo(scene, sched, cpl, seed, n, sampler_cfg)
-            nll_a = gmm_nll(scene.edit_gmm,
-                            result.batch_a.samples.reshape(-1, scene.view_dim))
-            nll_b = gmm_nll(gmm_b, result.batch_b)
-            residual_b = float(np.median(result.residuals_b))
+    for cpl in couplings:
+        result = coupled_sample(model_a, model_b, sched, sampler_cfg, cpl, seed, n)
+        if scene is None:
+            nll_a, residual_b = gmm_nll(gmm_a, result.batch_a), None
         else:
-            result = coupled_sample(model_a, model_b, sched, sampler_cfg, cpl, seed, n)
-            nll_a = gmm_nll(gmm_a, result.batch_a)
-            nll_b = gmm_nll(gmm_b, result.batch_b)
-            residual_b = None
+            nll_a = gmm_nll(scene.edit_gmm, result.batch_a.samples.reshape(-1, scene.view_dim))
+            residual_b = _median_residual(scene, result.batch_b)
         summary = coupling_distance(result.batch_a, result.batch_b)
         points.append(SweepPoint(
-            lam=lam, coupling_median=summary.median, nll_a=nll_a, nll_b=nll_b,
-            residual_b=residual_b,
+            lam=cpl.lam, coupling_median=summary.median, nll_a=nll_a,
+            nll_b=gmm_nll(gmm_b, result.batch_b), residual_b=residual_b,
         ))
 
     verdicts = sweep_summary(points)
@@ -613,8 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coupled diffusion sampling engine on analytic mixture models",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="best-effort cap on BLAS threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, fn in (("sample", cmd_sample), ("couple", cmd_couple), ("sweep", cmd_sweep)):
@@ -644,21 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _limit_threads(n):
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        pass
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _limit_threads(args.threads)
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -208,7 +208,6 @@ def consistency_residual(samples, n_views: int, view_dim: int):
             f"last axis is {x.shape[-1]}, expected n_views*view_dim = {n_views * view_dim}"
         )
     views = x.reshape(x.shape[:-1] + (n_views, view_dim))
-    total = 0.0
     count = 0
     acc = np.zeros(x.shape[:-1])
     for i in range(n_views):
@@ -234,12 +233,6 @@ class SweepSummary:
     distance_non_increasing: bool
     nll_non_decreasing_after_drop: bool
     half_drop_index: int | None
-
-    def verdicts(self) -> dict:
-        return {
-            "coupling_distance_non_increasing": self.distance_non_increasing,
-            "nll_non_decreasing_beyond_half_drop": self.nll_non_decreasing_after_drop,
-        }
 
 
 def sweep_summary(points, rel_tol: float = 0.02) -> SweepSummary:

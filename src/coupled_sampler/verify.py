@@ -7,7 +7,6 @@ stationary mean is a reference prediction, not an established identity.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +14,6 @@ import numpy as np
 from . import coupling, metrics, models, sampler, schedule
 from .presets import gmm_preset_names, resolve_gmm, resolve_pair
 from .rng import CHAIN_A, CHAIN_B, derive_seed, generator
-
-VERIFY_GUIDANCE_RULE_ENV = "COUPLED_SAMPLER_VERIFY_GUIDANCE_RULE"
 
 _VERIFY_SEED = 20240 + 813
 
@@ -29,20 +26,6 @@ class VerifyCheck:
 
 def _default_schedule() -> schedule.NoiseSchedule:
     return schedule.build_linear(200, 1e-4, 0.115)
-
-
-def _guidance_rule() -> str:
-    rule = os.environ.get(VERIFY_GUIDANCE_RULE_ENV)
-    if rule is None:
-        return coupling.DEFAULT_GUIDANCE_RULE
-    if rule not in coupling.GUIDANCE_RULES:
-        from .cli import ConfigError
-
-        raise ConfigError(
-            f"{VERIFY_GUIDANCE_RULE_ENV}: guidance_scale_rule must be one of "
-            f"{coupling.GUIDANCE_RULES}, got {rule!r}"
-        )
-    return rule
 
 
 def check_edm_roundtrip() -> VerifyCheck:
@@ -172,7 +155,7 @@ def check_lambda_zero_reduction() -> VerifyCheck:
     gmm_a, gmm_b, _ = resolve_pair("separated-pair")
     sched = _default_schedule()
     cfg = sampler.SamplerConfig()
-    cpl = coupling.CouplingConfig(lam=0.0, guidance_scale_rule=_guidance_rule())
+    cpl = coupling.CouplingConfig(lam=0.0)
     seed = 7
     run = coupling.coupled_sample(
         models.GmmScoreModel(gmm_a), models.GmmScoreModel(gmm_b), sched, cfg, cpl,
@@ -199,12 +182,11 @@ def check_fixed_point_band(n: int = 4096) -> VerifyCheck:
     gmm_a, gmm_b, _ = resolve_pair("separated-pair")
     sched = _default_schedule()
     cfg = sampler.SamplerConfig()
-    rule = _guidance_rule()
     mu_a, mu_b = gmm_a.means[0], gmm_b.means[0]
     worst = 0.0
     seed = 11
     for lam in (0.5, 1.0, 2.0):
-        cpl = coupling.CouplingConfig(lam=lam, guidance_scale_rule=rule)
+        cpl = coupling.CouplingConfig(lam=lam)
         run = coupling.coupled_sample(
             models.GmmScoreModel(gmm_a), models.GmmScoreModel(gmm_b), sched, cfg, cpl,
             seed=seed, n=n,
@@ -224,8 +206,7 @@ def check_fixed_point_band(n: int = 4096) -> VerifyCheck:
 
 
 def run_verify() -> list:
-    """All checks; raises ConfigError when the env override is invalid."""
-    _guidance_rule()  # validate override before any computation
+    """All checks, in report order."""
     return [
         check_edm_roundtrip(),
         check_shift_composition(),

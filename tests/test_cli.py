@@ -220,7 +220,8 @@ def _set_schedule(key):
     return mutate
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 10**400],
+                         ids=["inf", "nan", "huge_int"])
 @pytest.mark.parametrize("command, mutate, key", [
     ("couple", _set_lambda, "coupling.lambda"),
     ("sweep", _set_grid, "lambda_grid"),
@@ -234,6 +235,56 @@ def test_non_finite_number_rejected(tmp_path, capsys, command, mutate, key, valu
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert key in err and "finite" in err
+
+
+def _twenty_steps(doc):
+    doc["schedule"]["num_steps"] = 20
+
+
+def _set_sampler(**sampler):
+    def mutate(doc):
+        _twenty_steps(doc)
+        doc["sampler"] = sampler
+    return mutate
+
+
+def _set_ramp(length, sweep=False):
+    def mutate(doc):
+        _twenty_steps(doc)
+        doc["coupling"] = {"lambda_ramp": [1.0] * length}
+        if sweep:
+            doc["lambda_grid"] = [0.0, 1.0, 2.0]
+        else:
+            doc["coupling"]["lambda"] = 1.0
+    return mutate
+
+
+def _seed_past_u64(doc):
+    doc["seed"] = 2**64
+
+
+def _negative_grid(doc):
+    del doc["coupling"]
+    doc["lambda_grid"] = [-1.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("command, mutate, key", [
+    ("sample", _set_sampler(step_subset=[9, 5, 1]), "step_subset"),
+    ("couple", _set_sampler(step_subset=[20, 20, 1]), "step_subset"),
+    ("couple", _set_ramp(2), "coupling.lambda_ramp"),
+    ("sweep", _set_ramp(1, sweep=True), "coupling.lambda_ramp"),
+    ("sweep", _negative_grid, "lambda_grid"),
+    ("sample", _seed_past_u64, "seed"),
+], ids=["subset_not_from_T", "subset_repeats", "ramp_couple", "ramp_sweep", "negative_grid",
+        "seed_past_u64"])
+def test_bad_value_rejected_before_output(tmp_path, capsys, command, mutate, key):
+    doc = sample_config() if command == "sample" else couple_config()
+    mutate(doc)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestScheduleCommand:
@@ -285,11 +336,6 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "verify: OK" in out
         assert "flow-duality" in out
-
-    def test_invalid_guidance_rule_env_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("COUPLED_SAMPLER_VERIFY_GUIDANCE_RULE", "bogus")
-        assert main(["verify"]) == 2
-        assert "guidance_scale_rule" in capsys.readouterr().err
 
 
 class TestSvgLimits:

@@ -283,13 +283,13 @@ def _out_dir(args) -> Path:
 def _samples_csv(path, samples):
     d = samples.shape[1]
     header = ["chain_index"] + [f"dim_{k}" for k in range(d)]
-    rows = ([i] + list(row) for i, row in enumerate(samples))
+    rows = ([i] + row for i, row in enumerate(samples.tolist()))
     write_csv(path, header, rows)
 
 
 def _trajectory_csv(path, trajectory):
     """Rows run chain by chain: every recorded step of chain 0, then chain 1, ..."""
-    steps, n, d = trajectory.x_t.shape
+    _, n, d = trajectory.x_t.shape
     header = (
         ["chain_index", "step"]
         + [f"x_{k}" for k in range(d)]
@@ -298,14 +298,12 @@ def _trajectory_csv(path, trajectory):
     )
 
     def rows():
+        step_list = trajectory.steps.tolist()
         for i in range(n):
-            for s in range(steps):
-                yield (
-                    [i, int(trajectory.steps[s])]
-                    + list(trajectory.x_t[s, i])
-                    + list(trajectory.x0_hat[s, i])
-                    + list(trajectory.eps_hat[s, i])
-                )
+            chain = (trajectory.x_t[:, i].tolist(), trajectory.x0_hat[:, i].tolist(),
+                     trajectory.eps_hat[:, i].tolist())
+            for t, x, x0, eps in zip(step_list, *chain):
+                yield [i, t] + x + x0 + eps
 
     write_csv(path, header, rows())
 
@@ -322,7 +320,6 @@ def cmd_sample(args) -> int:
     cfg = parse_sampler_cfg(fields.get("sampler", {}), sched)
     n, seed = fields["n"], fields["seed"]
 
-    out = _out_dir(args)
     batch = sample(GmmScoreModel(gmm), sched, cfg, seed, n)
     exact = gmm_sample(gmm, n, generator(seed, _EXACT_CLOUD))
     test = energy_permutation_test(batch.samples, exact, generator(seed, _PERMUTATION))
@@ -333,6 +330,7 @@ def cmd_sample(args) -> int:
             sample_count=n, seed=seed,
         ),
     ]
+    out = _out_dir(args)
     _samples_csv(out / "samples.csv", batch.samples)
     if cfg.record_trajectory:
         _trajectory_csv(out / "trajectory.csv", batch.trajectory)
@@ -393,9 +391,9 @@ def cmd_couple(args) -> int:
     n, seed = fields["n"], fields["seed"]
     model_a, model_b, gmm_a, gmm_b, scene, reference = _resolve_couple_models(fields)
 
-    out = _out_dir(args)
     result = coupled_sample(model_a, model_b, sched, sampler_cfg, coupling_cfg, seed, n)
     reports = _couple_reports(result, gmm_a, gmm_b, scene, reference, n, seed)
+    out = _out_dir(args)
     _samples_csv(out / "samples_a.csv", result.batch_a.samples)
     _samples_csv(out / "samples_b.csv", result.batch_b.samples)
     write_csv(
@@ -443,7 +441,6 @@ def cmd_sweep(args) -> int:
     n, seed = fields["n"], fields["seed"]
     model_a, model_b, gmm_a, gmm_b, scene, _ = _resolve_couple_models(fields)
 
-    out = _out_dir(args)
     points = []
     for cpl in couplings:
         result = coupled_sample(model_a, model_b, sched, sampler_cfg, cpl, seed, n)
@@ -459,6 +456,7 @@ def cmd_sweep(args) -> int:
         ))
 
     verdicts = sweep_summary(points)
+    out = _out_dir(args)
     write_csv(
         out / "sweep.csv",
         ["lambda", "coupling_median", "nll_a", "nll_b", "residual_b"],

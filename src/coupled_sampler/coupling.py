@@ -220,7 +220,7 @@ def coupled_sample(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSche
 
     models = (model_a, model_b)
     xs, trajectories = _run_chains(
-        models, (stream_a, stream_b), ("chain A model failed", "chain B model failed"),
+        models, (stream_a, stream_b), ("chain A", "chain B"),
         schedule, steps, sampler_config, n, guide,
     )
     batch_a, batch_b = (

@@ -14,6 +14,8 @@ import numpy as np
 
 
 def fmt_cell(v) -> str:
+    if type(v) is float:
+        return repr(v)
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
@@ -25,10 +27,10 @@ def fmt_cell(v) -> str:
 
 def write_csv(path, header, rows) -> Path:
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(map(fmt_cell, row)) + "\n")
     return path
 
 

@@ -125,6 +125,10 @@ def energy_distance(cloud_a, cloud_b) -> float:
     return float(2.0 * term_xy - term_xx - term_yy)
 
 
+# Rows of the pooled distance matrix built at a time (8 MB at 8192 points).
+_BLOCK_ROWS = 256
+
+
 @dataclass(frozen=True)
 class EnergyTestResult:
     statistic: float
@@ -143,8 +147,11 @@ def energy_permutation_test(cloud_a, cloud_b, rng: np.random.Generator,
     The observed statistic and every permuted statistic are computed by the
     same all-cross-pairs estimator on the pooled distance matrix, so the
     comparison is exchangeable under the null. Distances are formed in
-    float32 (the pooled matrix is quadratic in the sample count); sums are
-    accumulated in float64.
+    float32; sums are accumulated in float64. The matrix is never held
+    whole: it is built _BLOCK_ROWS rows at a time, and each block is reduced
+    against the permutation labels and summed by row before the next is
+    built, so memory is linear in the sample count (times the permutation
+    count) rather than quadratic.
     """
     a = _cloud(cloud_a)
     b = _cloud(cloud_b)
@@ -159,13 +166,6 @@ def energy_permutation_test(cloud_a, cloud_b, rng: np.random.Generator,
     pooled = np.vstack([a, b]).astype(np.float32)
     m = na + nb
     sq = np.einsum("ij,ij->i", pooled, pooled)
-    dist = pooled @ pooled.T
-    dist *= -2.0
-    dist += sq[:, None]
-    dist += sq[None, :]
-    np.maximum(dist, 0.0, out=dist)
-    np.sqrt(dist, out=dist)
-    np.fill_diagonal(dist, 0.0)
 
     # Column 0 is the observed labelling; the rest are permuted half-splits.
     sel = np.zeros((m, n_permutations + 1), dtype=np.float32)
@@ -173,10 +173,28 @@ def energy_permutation_test(cloud_a, cloud_b, rng: np.random.Generator,
     for j in range(1, n_permutations + 1):
         sel[rng.permutation(m)[:na], j] = 1.0
 
-    reach = dist @ sel  # (m, P+1)
+    # Every block has the same row count: the last one overlaps the block
+    # before it instead of running short. BLAS picks its kernel by shape, and
+    # a short block (a single row above all) can be summed in another order.
+    rows = min(_BLOCK_ROWS, m)
+    reach = np.empty((m, n_permutations + 1), dtype=np.float32)  # dist @ sel
+    row_total = np.empty(m)
+    dist = np.empty((rows, m), dtype=np.float32)  # rows lo:hi of the matrix
+    for lo in range(0, m, rows):
+        lo = min(lo, m - rows)
+        hi = lo + rows
+        np.matmul(pooled[lo:hi], pooled.T, out=dist)
+        dist *= -2.0
+        dist += sq[lo:hi, None]
+        dist += sq[None, :]
+        np.maximum(dist, 0.0, out=dist)
+        np.sqrt(dist, out=dist)
+        np.fill_diagonal(dist[:, lo:hi], 0.0)
+        np.matmul(dist, sel, out=reach[lo:hi])
+        row_total[lo:hi] = dist.sum(axis=1, dtype=np.float64)
+
     sel64 = sel.astype(np.float64)
     reach64 = reach.astype(np.float64)
-    row_total = dist.sum(axis=1, dtype=np.float64)
     total = float(row_total.sum())
     sum_xx = np.einsum("mj,mj->j", sel64, reach64)
     sum_cross = sel64.T @ row_total - sum_xx

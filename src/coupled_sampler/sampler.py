@@ -188,13 +188,14 @@ def _draw(streams, shape, *labels) -> list:
     return [blocks[stream] for stream in streams]
 
 
-def _run_chains(models, streams, failures, schedule: NoiseSchedule, steps,
+def _run_chains(models, streams, names, schedule: NoiseSchedule, steps,
                 config: SamplerConfig, n: int, guide=None):
     """The sampling loop: K chains of n points each, in lockstep from x_T ~ N(0, I).
 
-    Chain k evaluates models[k] and draws from streams[k]; its model errors
-    re-raise as "<failures[k]> at step t". After the chains' own updates,
-    guide(i, t, t_next, x0_hats) may return one increment per chain, or None.
+    Chain k, called names[k], evaluates models[k] and draws from streams[k].
+    After the chains' own updates, guide(i, t, t_next, x0_hats) may return
+    one increment per chain, or None. A model error, or a non-finite state
+    after a step, raises a RuntimeError naming the chain and the step.
     Returns the final states and one Trajectory (or None) per chain.
     """
     d = models[0].dim
@@ -202,11 +203,11 @@ def _run_chains(models, streams, failures, schedule: NoiseSchedule, steps,
     records = [[] for _ in models]
     for i, t in enumerate(steps):
         eps = []
-        for model, x, failure in zip(models, xs, failures):
+        for model, x, name in zip(models, xs, names):
             try:
                 eps.append(model.predict_epsilon(x, t, schedule))
             except Exception as exc:
-                raise RuntimeError(f"{failure} at step {t}") from exc
+                raise RuntimeError(f"{name}: model evaluation failed at step {t}") from exc
         t_next = steps[i + 1] if i + 1 < len(steps) else 0
         zs = [None] * len(models)
         if config.kind == "ancestral" and t_next != 0:
@@ -219,9 +220,15 @@ def _run_chains(models, streams, failures, schedule: NoiseSchedule, steps,
             for rec, x, x0, e in zip(records, xs, x0s, eps):
                 rec.append((x, x0, e))
         increments = guide(i, t, t_next, x0s) if guide is not None else None
-        if increments is not None:
-            nxts = [nxt + inc for nxt, inc in zip(nxts, increments)]
-        xs = list(nxts)
+        xs = []
+        for name, nxt, inc in zip(names, nxts, increments or [None] * len(models)):
+            x = nxt if inc is None else nxt + inc
+            if not np.isfinite(x).all():
+                cause = ("after the guidance increment; its own update was finite"
+                         if inc is not None and np.isfinite(nxt).all()
+                         else "from its own update (model or step)")
+                raise RuntimeError(f"{name}: non-finite state at step {t} {cause}")
+            xs.append(x)
 
     if not config.record_trajectory:
         return xs, [None] * len(models)
@@ -239,7 +246,7 @@ def sample(model: ScoreModel, schedule: NoiseSchedule, config: SamplerConfig,
         raise ValueError("n must be >= 1")
     steps = config.steps_for(schedule)
     (x,), (trajectory,) = _run_chains(
-        [model], [NoiseStream(seed)], ["model evaluation failed"], schedule, steps,
+        [model], [NoiseStream(seed)], ["chain"], schedule, steps,
         config, n,
     )
     return SampleBatch(

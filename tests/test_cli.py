@@ -1,6 +1,7 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from coupled_sampler.cli import main
@@ -284,6 +285,20 @@ def test_bad_value_rejected_before_output(tmp_path, capsys, command, mutate, key
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_guidance_overflow_names_guidance(tmp_path, capsys):
+    # a huge finite lambda overflows the guidance increment in the first step
+    doc = couple_config(n=4)
+    doc["schedule"]["num_steps"] = 20
+    doc["coupling"] = {"lambda": 1e308, "guidance_scale_rule": "alpha_t"}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["couple", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "guidance" in err and "chain A" in err and "step 20" in err
     assert not out.exists()
 
 

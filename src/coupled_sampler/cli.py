@@ -96,10 +96,12 @@ def _as_int(v, loc):
     return v
 
 
-def _as_positive_int(v, loc):
-    if _as_int(v, loc) < 1:
-        raise ConfigError(f"{loc}: must be >= 1, got {v}")
-    return v
+def _as_int_at_least(lo):
+    def check(v, loc):
+        if _as_int(v, loc) < lo:
+            raise ConfigError(f"{loc}: must be >= {lo}, got {v}")
+        return v
+    return check
 
 
 def _as_seed(v, loc):
@@ -210,7 +212,7 @@ _SAMPLE_SCHEMA = {
     "model": (True, _as_model_spec),
     "schedule": (True, _as_is),
     "sampler": (False, _as_is),
-    "n": (True, _as_positive_int),
+    "n": (True, _as_int_at_least(2)),  # the energy test needs two points per cloud
     "seed": (True, _as_seed),
     "svg": (False, _as_bool),
 }
@@ -223,7 +225,7 @@ _COUPLE_SCHEMA = {
     "schedule": (True, _as_is),
     "sampler": (False, _as_is),
     "coupling": (False, _as_is),
-    "n": (True, _as_positive_int),
+    "n": (True, _as_int_at_least(1)),
     "seed": (True, _as_seed),
     "svg": (False, _as_bool),
 }

@@ -12,7 +12,10 @@ These models serve as ground truth for the samplers and metrics.
 
 Covariances are held as lower-triangular Cholesky factors; densities and
 scores go through triangular solves, never explicit inverses. Mixture
-responsibilities are formed in log space.
+responsibilities are formed in log space. The noised means, factors, log
+weights and log-determinants of one noise level form a table; GmmScoreModel
+caches one table per alpha_bar it has seen, so the reverse steps of every run
+on one model instance share them.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
+from scipy.linalg.lapack import dtrtrs
 
 from .schedule import NoiseSchedule, alpha_bar_to_flow_time
 
@@ -113,7 +116,78 @@ def _log_weights(weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _component_terms(x, weights, means, chols, whiten: bool):
+class _Level(NamedTuple):
+    """A mixture at one noise level, in the form the component loop reads."""
+
+    log_w: np.ndarray  # (K,)
+    means: np.ndarray  # (K, d)
+    uppers: tuple  # K transposed Cholesky factors L_j.T, Fortran-ordered
+    log_dets: tuple  # K floats, log |L_j|
+
+
+def _level(g: Gmm, mean_scale: float, cov_scale: float, noise_var: float) -> _Level:
+    """Component j becomes N(mean_scale mu_j, cov_scale Sigma_j + noise_var I)."""
+    means = mean_scale * g.means
+    chols = np.linalg.cholesky(cov_scale * g.covariances() + noise_var * np.eye(g.dim))
+    return _Level(
+        log_w=_log_weights(g.weights),
+        means=means,
+        uppers=tuple(L.T for L in chols),
+        log_dets=tuple(float(np.sum(np.log(np.diag(L)))) for L in chols),
+    )
+
+
+def _noised_level(g: Gmm, alpha_bar: float) -> _Level:
+    return _level(g, math.sqrt(alpha_bar), alpha_bar, 1.0 - alpha_bar)
+
+
+def _flow_level(g: Gmm, t_flow: float) -> _Level:
+    return _level(g, t_flow, t_flow**2, (1.0 - t_flow) ** 2)
+
+
+def _solve_upper(upper, b, trans: int) -> np.ndarray:
+    """upper^-T b (trans=1) or upper^-1 b (trans=0).
+
+    The LAPACK call scipy.linalg.solve_triangular makes for these operands,
+    without its wrappers. A Fortran-ordered float64 b is solved in place, so
+    pass only temporaries.
+    """
+    out, info = dtrtrs(upper, b, lower=False, trans=trans, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
+    return out
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of an (m, K) array.
+
+    Term for term the formula of scipy.special.logsumexp (scipy 1.17), so the
+    bits match it: the maxima of a row are pulled out of the sum, which is
+    log1p(s) + log(m) + max with m the count of maxima and s the sum of the
+    other shifted exponentials over m. Rows where that is not finite (all
+    terms -inf) fall back to the direct log(sum(exp(a))).
+    """
+    k = a.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Max and count column by column: both are exact in any order, and
+        # numpy's reductions along a short row axis are slow.
+        a_max = a[:, :1]
+        for j in range(1, k):
+            a_max = np.maximum(a_max, a[:, j:j + 1])
+        is_max = a == a_max
+        m = is_max[:, :1].astype(np.float64)
+        for j in range(1, k):
+            m += is_max[:, j:j + 1]
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+    return out
+
+
+def _component_terms(x, level: _Level, whiten: bool):
     """Per-component log(w_j N(x; mu_j, Sigma_j)) and Sigma_j^-1 (x - mu_j).
 
     x may carry arbitrary leading batch axes; the last axis is the event
@@ -122,43 +196,36 @@ def _component_terms(x, weights, means, chols, whiten: bool):
     density-only calls skip the back-solve.
     """
     x = np.asarray(x, dtype=np.float64)
-    k, d = means.shape
+    k, d = level.means.shape
     if x.shape[-1] != d:
         raise ValueError(f"points have dimension {x.shape[-1]}, model has {d}")
     batch = x.shape[:-1]
     flat = x.reshape(-1, d)
+    if not np.isfinite(flat).all():
+        raise ValueError("points must not contain infs or NaNs")
 
     log_comp = np.empty((flat.shape[0], k))
     whitened = [] if whiten else None
-    log_w = _log_weights(weights)
     for j in range(k):
-        L = chols[j]
-        diff = (flat - means[j]).T  # (d, m)
-        y = solve_triangular(L, diff, lower=True)
+        upper = level.uppers[j]
+        y = _solve_upper(upper, (flat - level.means[j]).T, trans=1)  # L^-1 (x - mu), (d, m)
         maha = np.einsum("im,im->m", y, y)
-        log_det = float(np.sum(np.log(np.diag(L))))
-        log_comp[:, j] = log_w[j] - 0.5 * maha - log_det - 0.5 * d * _LOG_2PI
+        log_comp[:, j] = level.log_w[j] - 0.5 * maha - level.log_dets[j] - 0.5 * d * _LOG_2PI
         if whiten:
-            whitened.append(solve_triangular(L.T, y, lower=False))
+            whitened.append(_solve_upper(upper, y, trans=0))
     return batch, log_comp, whitened
 
 
-def _mixture_eval(x, weights, means, chols, want_score: bool):
+def _mixture_eval(x, level: _Level, want_score: bool):
     """Log density (and optionally score) of a Gaussian mixture at x."""
-    batch, log_comp, whitened = _component_terms(x, weights, means, chols, want_score)
-    log_p = logsumexp(log_comp, axis=1)
+    batch, log_comp, whitened = _component_terms(x, level, want_score)
+    log_p = _logsumexp_rows(log_comp)
     if not want_score:
         return log_p.reshape(batch)
     resp = np.exp(log_comp - log_p[:, None])
     zs = np.stack([u.T for u in whitened], axis=1)  # (m, K, d)
     score = -np.einsum("mk,mkd->md", resp, zs)
-    return log_p.reshape(batch), score.reshape(batch + (means.shape[1],))
-
-
-def _noised_params(g: Gmm, alpha_bar: float):
-    means = math.sqrt(alpha_bar) * g.means
-    covs = alpha_bar * g.covariances() + (1.0 - alpha_bar) * np.eye(g.dim)
-    return means, np.linalg.cholesky(covs)
+    return log_p.reshape(batch), score.reshape(batch + (level.means.shape[1],))
 
 
 def gmm_noised_log_density(g: Gmm, x, alpha_bar: float):
@@ -166,8 +233,7 @@ def gmm_noised_log_density(g: Gmm, x, alpha_bar: float):
     alpha_bar = float(alpha_bar)
     if not 0.0 < alpha_bar <= 1.0:
         raise ValueError("alpha_bar must lie in (0, 1]")
-    means, chols = _noised_params(g, alpha_bar)
-    return _mixture_eval(x, g.weights, means, chols, want_score=False)
+    return _mixture_eval(x, _noised_level(g, alpha_bar), want_score=False)
 
 
 def gmm_noised_score(g: Gmm, x, alpha_bar: float):
@@ -175,17 +241,25 @@ def gmm_noised_score(g: Gmm, x, alpha_bar: float):
     alpha_bar = float(alpha_bar)
     if not 0.0 < alpha_bar < 1.0:
         raise ValueError("alpha_bar must lie in (0, 1)")
-    means, chols = _noised_params(g, alpha_bar)
-    _, score = _mixture_eval(x, g.weights, means, chols, want_score=True)
+    _, score = _mixture_eval(x, _noised_level(g, alpha_bar), want_score=True)
     return score
+
+
+def _epsilon(g: Gmm, x, alpha_bar: float, levels: dict):
+    """gmm_epsilon, reading the level table from levels and filling it on a miss."""
+    alpha_bar = float(alpha_bar)
+    if not 0.0 < alpha_bar < 1.0:
+        raise ValueError("alpha_bar must lie in (0, 1) for epsilon")
+    level = levels.get(alpha_bar)
+    if level is None:
+        level = levels[alpha_bar] = _noised_level(g, alpha_bar)
+    _, score = _mixture_eval(x, level, want_score=True)
+    return -math.sqrt(1.0 - alpha_bar) * score
 
 
 def gmm_epsilon(g: Gmm, x, alpha_bar: float):
     """Exact epsilon-prediction; undefined at zero noise (alpha_bar = 1)."""
-    alpha_bar = float(alpha_bar)
-    if not 0.0 < alpha_bar < 1.0:
-        raise ValueError("alpha_bar must lie in (0, 1) for epsilon")
-    return -math.sqrt(1.0 - alpha_bar) * gmm_noised_score(g, x, alpha_bar)
+    return _epsilon(g, x, alpha_bar, {})
 
 
 def gmm_sample(g: Gmm, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -221,13 +295,14 @@ class ScoreModel(ABC):
 class GmmScoreModel(ScoreModel):
     def __init__(self, gmm: Gmm):
         self.gmm = gmm
+        self._levels = {}  # alpha_bar -> _Level, built on first use
 
     @property
     def dim(self) -> int:
         return self.gmm.dim
 
     def predict_epsilon(self, x, t, schedule):
-        return gmm_epsilon(self.gmm, x, schedule.alpha_bar_at(t))
+        return _epsilon(self.gmm, x, schedule.alpha_bar_at(t), self._levels)
 
     def log_density(self, x):
         return gmm_noised_log_density(self.gmm, x, 1.0)
@@ -293,19 +368,12 @@ class VelocityModel(ABC):
     def describe(self) -> dict: ...
 
 
-def _flow_params(g: Gmm, t_flow: float):
-    means = t_flow * g.means
-    covs = t_flow**2 * g.covariances() + (1.0 - t_flow) ** 2 * np.eye(g.dim)
-    return means, np.linalg.cholesky(covs)
-
-
 def gmm_flow_log_density(g: Gmm, x, t_flow: float):
     """Log density of the flow-interpolation marginal at time t in (0, 1]."""
     t_flow = float(t_flow)
     if not 0.0 < t_flow <= 1.0:
         raise ValueError("t_flow must lie in (0, 1]")
-    means, chols = _flow_params(g, t_flow)
-    return _mixture_eval(x, g.weights, means, chols, want_score=False)
+    return _mixture_eval(x, _flow_level(g, t_flow), want_score=False)
 
 
 def velocity_from_gmm(g: Gmm, x, t_flow: float):
@@ -318,15 +386,14 @@ def velocity_from_gmm(g: Gmm, x, t_flow: float):
     t_flow = float(t_flow)
     if not 0.0 < t_flow < 1.0:
         raise ValueError("t_flow must lie strictly inside (0, 1)")
-    means, chols = _flow_params(g, t_flow)
     # whitened[j] = C_j^-1 (x - t mu_j), (d, m)
-    batch, log_comp, whitened = _component_terms(x, g.weights, means, chols, whiten=True)
+    batch, log_comp, whitened = _component_terms(x, _flow_level(g, t_flow), whiten=True)
     sigmas = g.covariances()
     comp_v = np.stack([
         (g.means[j] + (t_flow * sigmas[j] @ u).T) - (1.0 - t_flow) * u.T  # E[x_0] - E[eps]
         for j, u in enumerate(whitened)
     ], axis=1)  # (m, K, d)
-    resp = np.exp(log_comp - logsumexp(log_comp, axis=1)[:, None])
+    resp = np.exp(log_comp - _logsumexp_rows(log_comp)[:, None])
     v = np.einsum("mk,mkd->md", resp, comp_v)
     return v.reshape(batch + (g.dim,))
 
@@ -475,6 +542,5 @@ def mv_view_marginal(scene: MvScene) -> Gmm:
 
 def mv_edit_chain_model(scene: MvScene) -> BlockProductModel:
     """Per-view independent edit model over the joint view space."""
-    return BlockProductModel(
-        [GmmScoreModel(scene.edit_gmm) for _ in range(scene.n_views)]
-    )
+    # One instance for every view, so the views share its level tables.
+    return BlockProductModel([GmmScoreModel(scene.edit_gmm)] * scene.n_views)

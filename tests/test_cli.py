@@ -269,6 +269,10 @@ def _negative_grid(doc):
     doc["lambda_grid"] = [-1.0, 1.0, 2.0]
 
 
+def _one_point(doc):
+    doc["n"] = 1
+
+
 @pytest.mark.parametrize("command, mutate, key", [
     ("sample", _set_sampler(step_subset=[9, 5, 1]), "step_subset"),
     ("couple", _set_sampler(step_subset=[20, 20, 1]), "step_subset"),
@@ -276,8 +280,9 @@ def _negative_grid(doc):
     ("sweep", _set_ramp(1, sweep=True), "coupling.lambda_ramp"),
     ("sweep", _negative_grid, "lambda_grid"),
     ("sample", _seed_past_u64, "seed"),
+    ("sample", _one_point, "n: must be >= 2"),
 ], ids=["subset_not_from_T", "subset_repeats", "ramp_couple", "ramp_sweep", "negative_grid",
-        "seed_past_u64"])
+        "seed_past_u64", "sample_one_point"])
 def test_bad_value_rejected_before_output(tmp_path, capsys, command, mutate, key):
     doc = sample_config() if command == "sample" else couple_config()
     mutate(doc)

@@ -1,7 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.special import logsumexp
 
 from coupled_sampler.models import (
     Gmm,
@@ -21,6 +25,8 @@ from coupled_sampler.models import (
     velocity_wrapped_score_model,
 )
 from coupled_sampler.metrics import energy_permutation_test
+from coupled_sampler.models import gmm_noised_score
+from coupled_sampler.sampler import SamplerConfig, sample
 from coupled_sampler.schedule import build_linear
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -471,3 +477,157 @@ class TestVelocityWrapping:
         wrapped = velocity_wrapped_score_model(Still(), sched)
         with pytest.raises(ValueError):
             wrapped.predict_epsilon(np.zeros(2), 0, sched)
+
+
+def scipy_mixture(weights, means, chols, x):
+    """Reference kernel on scipy's logsumexp and solve_triangular wrappers.
+
+    -> (log density, score, whitened differences (m, K, d)); the models
+    module must reproduce it bit for bit.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    k, d = means.shape
+    flat = x.reshape(-1, d)
+    log_w = np.full(k, -np.inf)
+    log_w[weights > 0] = np.log(weights[weights > 0])
+    log_comp = np.empty((flat.shape[0], k))
+    zs = []
+    for j in range(k):
+        L = chols[j]
+        y = solve_triangular(L, (flat - means[j]).T, lower=True)
+        maha = np.einsum("im,im->m", y, y)
+        log_det = float(np.sum(np.log(np.diag(L))))
+        log_comp[:, j] = log_w[j] - 0.5 * maha - log_det - 0.5 * d * LOG_2PI
+        zs.append(solve_triangular(L.T, y, lower=False).T)
+    log_p = logsumexp(log_comp, axis=1)
+    resp = np.exp(log_comp - log_p[:, None])
+    zs = np.stack(zs, axis=1)
+    score = -np.einsum("mk,mkd->md", resp, zs)
+    return log_p.reshape(x.shape[:-1]), score.reshape(x.shape), resp, zs
+
+
+def scipy_noised(g, x, alpha_bar):
+    means = math.sqrt(alpha_bar) * g.means
+    covs = alpha_bar * g.covariances() + (1.0 - alpha_bar) * np.eye(g.dim)
+    return scipy_mixture(g.weights, means, np.linalg.cholesky(covs), x)
+
+
+def scipy_velocity(g, x, t):
+    means = t * g.means
+    covs = t**2 * g.covariances() + (1.0 - t) ** 2 * np.eye(g.dim)
+    log_p, _, resp, zs = scipy_mixture(g.weights, means, np.linalg.cholesky(covs), x)
+    sigmas = g.covariances()
+    comp_v = np.stack([
+        (g.means[j] + (t * sigmas[j] @ zs[:, j].T).T) - (1.0 - t) * zs[:, j]
+        for j in range(g.n_components)
+    ], axis=1)
+    v = np.einsum("mk,mkd->md", resp, comp_v)
+    return log_p, v.reshape(np.shape(x))
+
+
+def oracle_gmm(rng, k, d, case):
+    if case == "tied":
+        # equal components: every row has its maximum K times
+        return Gmm.from_covariances(np.full(k, 1.0 / k), np.zeros((k, d)), [np.eye(d)] * k)
+    g = random_gmm(rng, k=k, d=d)
+    if case == "zero_weight" and k > 1:
+        w = g.weights.copy()
+        w[1] = 0.0
+        return Gmm(w / w.sum(), g.means, g.chol_factors)
+    return g
+
+
+def oracle_points(rng, d, case):
+    x = rng.normal(scale=3.0, size=(300, d))
+    if case == "far":
+        x[:10] *= 1e3
+        x[10:13] = 1e160  # the Mahalanobis terms overflow to inf
+    return x
+
+
+ORACLE_CASES = ["plain", "zero_weight", "tied", "far"]
+
+
+class TestScipyOracle:
+    """Mixture outputs equal the scipy reference kernel bit for bit."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 4, 6])
+    def test_noised_level(self, d, k, case):
+        rng = np.random.default_rng(100 * d + k)
+        g = oracle_gmm(rng, k, d, case)
+        x = oracle_points(rng, d, case)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ab in (1e-3, 0.37, 0.999):
+                log_p, score, _, _ = scipy_noised(g, x, ab)
+                np.testing.assert_array_equal(gmm_noised_log_density(g, x, ab), log_p)
+                np.testing.assert_array_equal(gmm_noised_score(g, x, ab), score)
+                np.testing.assert_array_equal(gmm_epsilon(g, x, ab),
+                                              -math.sqrt(1.0 - ab) * score)
+            np.testing.assert_array_equal(gmm_noised_log_density(g, x, 1.0),
+                                          scipy_noised(g, x, 1.0)[0])
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 4, 6])
+    def test_flow(self, d, k, case):
+        rng = np.random.default_rng(100 * d + k + 7)
+        g = oracle_gmm(rng, k, d, case)
+        x = oracle_points(rng, d, case)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in (0.05, 0.5, 0.95):
+                log_p, v = scipy_velocity(g, x, t)
+                np.testing.assert_array_equal(gmm_flow_log_density(g, x, t), log_p)
+                np.testing.assert_array_equal(velocity_from_gmm(g, x, t), v)
+
+    def test_batched_non_contiguous_points(self):
+        rng = np.random.default_rng(11)
+        g = random_gmm(rng, k=3, d=4)
+        x = rng.normal(scale=2.0, size=(2, 64, 8))[..., ::2]
+        assert not x.flags.c_contiguous
+        log_p, score, _, _ = scipy_noised(g, x, 0.6)
+        np.testing.assert_array_equal(gmm_noised_log_density(g, x, 0.6), log_p)
+        np.testing.assert_array_equal(gmm_epsilon(g, x, 0.6), -math.sqrt(0.4) * score)
+        np.testing.assert_array_equal(velocity_from_gmm(g, x, 0.6), scipy_velocity(g, x, 0.6)[1])
+
+    def test_score_model_matches_gmm_epsilon(self):
+        rng = np.random.default_rng(12)
+        g = random_gmm(rng, k=3, d=2)
+        x = rng.normal(size=(128, 2))
+        schedules = (build_linear(20, 1e-3, 0.2), build_linear(30, 1e-3, 0.3))
+        model = GmmScoreModel(g)
+        for repeat in range(2):  # a first call builds each level, the second reuses it
+            for t in (20, 7, 1):
+                for sched in schedules:  # two schedules share one model instance
+                    expected = gmm_epsilon(g, x, sched.alpha_bar_at(t))
+                    np.testing.assert_array_equal(model.predict_epsilon(x, t, sched), expected)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_points_rejected(value):
+    g = random_gmm(np.random.default_rng(13), k=2, d=2)
+    x = np.zeros((4, 2))
+    x[2, 1] = value
+    sched = build_linear(10, 0.05, 0.3)
+    calls = [
+        lambda: gmm_noised_score(g, x, 0.5),
+        lambda: gmm_noised_log_density(g, x, 0.5),
+        lambda: gmm_epsilon(g, x, 0.5),
+        lambda: velocity_from_gmm(g, x, 0.5),
+        lambda: GmmScoreModel(g).predict_epsilon(x, 5, sched),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            call()
+
+
+def test_score_model_tables_die_with_the_model():
+    g = random_gmm(np.random.default_rng(14), k=2, d=2)
+    model = GmmScoreModel(g)
+    sample(model, build_linear(50, 1e-3, 0.2), SamplerConfig(), seed=0, n=16)
+    refs = [weakref.ref(g)] + [weakref.ref(level.means) for level in model._levels.values()]
+    assert len(refs) == 51
+    del g, model
+    gc.collect()
+    assert all(ref() is None for ref in refs)

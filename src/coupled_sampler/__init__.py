@@ -6,7 +6,6 @@ from .coupling import (
     CoupledRunResult,
     CouplingConfig,
     coupled_sample,
-    coupled_step,
     coupling_energy,
     coupling_gradient,
     mutual_tilt_fixed_point,
@@ -31,7 +30,6 @@ from .models import (
     MvScene,
     ScoreModel,
     VelocityModel,
-    block_product_model,
     gmm_epsilon,
     gmm_flow_log_density,
     gmm_noised_log_density,

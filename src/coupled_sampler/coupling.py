@@ -7,11 +7,13 @@ chain's own reverse update, a guidance term
 
 pulls the new state toward the partner chain's clean estimate, with the
 partner estimate treated as a constant. The default scale_t is the exact
-Gaussian posterior-tilt factor (see guidance_scale), under which each chain
-samples its own density tilted by the coupling energy; two cruder
-schedule-level factors are kept for ablation. With lam = 0 the guidance
-branch is skipped entirely and a coupled run is bit-for-bit two independent
-runs under the derived per-chain seeds.
+Gaussian posterior-tilt factor (see guidance_scale). Under it each chain
+samples its own density tilted by the coupling energy, but only for
+unit-covariance Gaussian targets; mixture pairs end measurably off the
+tilted pair density. Two cruder schedule-level factors are kept for
+ablation. With lam = 0 the guidance branch is skipped entirely and a
+coupled run is bit-for-bit two independent runs under the derived per-chain
+seeds.
 
 A score-averaging single-chain baseline and a multi-view editing demo
 (independent per-view edit chain coupled to a shared-latent consistent
@@ -38,7 +40,6 @@ from .sampler import (
     SamplerConfig,
     SampleBatch,
     _run_chains,
-    _step,
     config_fingerprint,
     sample,
     step_coefficients,
@@ -165,31 +166,6 @@ def _guidance(coupling: CouplingConfig, schedule: NoiseSchedule, t: int, t_next:
             scale * coupling_gradient(x0_b, x0_a, lam_t))
 
 
-def coupled_step(x_a, x_b, model_a: ScoreModel, model_b: ScoreModel,
-                 schedule: NoiseSchedule, t: int, coupling: CouplingConfig, rng,
-                 sampler_config: SamplerConfig | None = None):
-    """One synchronized step of both chains at time t."""
-    if model_a.dim != model_b.dim:
-        raise ValueError("coupled chains must share a dimension")
-    sampler_config = sampler_config or SamplerConfig()
-    schedule._check_step(t)
-    x_a = np.asarray(x_a, dtype=np.float64)
-    x_b = np.asarray(x_b, dtype=np.float64)
-    eps_a = model_a.predict_epsilon(x_a, t, schedule)
-    eps_b = model_b.predict_epsilon(x_b, t, schedule)
-    z_a = z_b = None
-    if sampler_config.kind == "ancestral" and t > 1:
-        z_a = rng.standard_normal(x_a.shape)
-        z_b = z_a if coupling.noise_policy == "shared" else rng.standard_normal(x_b.shape)
-    kind, rule = sampler_config.kind, sampler_config.variance_rule
-    x0_a, nxt_a = _step(x_a, eps_a, z_a, schedule, t, t - 1, kind, rule)
-    x0_b, nxt_b = _step(x_b, eps_b, z_b, schedule, t, t - 1, kind, rule)
-    increments = _guidance(coupling, schedule, t, t - 1, x0_a, x0_b)
-    if increments is None:
-        return nxt_a, nxt_b
-    return nxt_a + increments[0], nxt_b + increments[1]
-
-
 def coupled_sample(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSchedule,
                    sampler_config: SamplerConfig, coupling: CouplingConfig,
                    seed: int, n: int) -> CoupledRunResult:
@@ -273,17 +249,15 @@ def score_average_sample(models, weights, schedule: NoiseSchedule,
 
 
 def mv_edit_demo(scene: MvScene, schedule: NoiseSchedule, coupling: CouplingConfig,
-                 seed: int, n: int,
-                 sampler_config: SamplerConfig | None = None) -> CoupledRunResult:
+                 seed: int, n: int) -> CoupledRunResult:
     """Couple the per-view edit chain (A) with the shared-latent chain (B).
 
     Returns the coupled batches plus per-sample view-consistency residuals
     for both chains.
     """
-    sampler_config = sampler_config or SamplerConfig()
     model_a = mv_edit_chain_model(scene)
     model_b = GmmScoreModel(mv_consistent_model(scene))
-    result = coupled_sample(model_a, model_b, schedule, sampler_config, coupling, seed, n)
+    result = coupled_sample(model_a, model_b, schedule, SamplerConfig(), coupling, seed, n)
     return replace(
         result,
         residuals_a=consistency_residual(result.batch_a.samples, scene.n_views, scene.view_dim),

@@ -236,6 +236,9 @@ def consistency_residual(samples, n_views: int, view_dim: int):
     return float(out) if out.ndim == 0 else out
 
 
+_SWEEP_REL_TOL = 0.02
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     lam: float
@@ -253,13 +256,13 @@ class SweepSummary:
     half_drop_index: int | None
 
 
-def sweep_summary(points, rel_tol: float = 0.02) -> SweepSummary:
+def sweep_summary(points) -> SweepSummary:
     """Monotonicity verdicts over an increasing-lambda grid with paired seeds.
 
     Distance verdict: medians non-increasing, allowing a single inversion
-    within rel_tol (statistical noise). NLL verdict: beyond the first lambda
-    at which the median distance has dropped by half, each chain's own-model
-    NLL is non-decreasing within the same slack.
+    within 2 % (statistical noise). NLL verdict: beyond the first lambda at
+    which the median distance has dropped by half, each chain's own-model NLL
+    is non-decreasing within the same relative slack.
     """
     pts = tuple(
         p if isinstance(p, SweepPoint) else SweepPoint(**p) for p in points
@@ -272,7 +275,7 @@ def sweep_summary(points, rel_tol: float = 0.02) -> SweepSummary:
 
     med = [p.coupling_median for p in pts]
     soft = sum(1 for a, b in zip(med, med[1:]) if b > a)
-    hard = any(b > a * (1.0 + rel_tol) for a, b in zip(med, med[1:]))
+    hard = any(b > a * (1.0 + _SWEEP_REL_TOL) for a, b in zip(med, med[1:]))
     distance_ok = (not hard) and soft <= 1
 
     drop_idx = next((i for i, v in enumerate(med) if v <= 0.5 * med[0]), None)
@@ -280,7 +283,7 @@ def sweep_summary(points, rel_tol: float = 0.02) -> SweepSummary:
     if drop_idx is not None:
         for series in ([p.nll_a for p in pts], [p.nll_b for p in pts]):
             tail = series[drop_idx:]
-            slack = [rel_tol * max(1.0, abs(v)) for v in tail]
+            slack = [_SWEEP_REL_TOL * max(1.0, abs(v)) for v in tail]
             if any(b < a - s for a, b, s in zip(tail, tail[1:], slack)):
                 nll_ok = False
     return SweepSummary(

@@ -350,10 +350,6 @@ class BlockProductModel(ScoreModel):
         return {"kind": "block_product", "blocks": [b.describe() for b in self.blocks]}
 
 
-def block_product_model(blocks) -> BlockProductModel:
-    return BlockProductModel(blocks)
-
-
 class VelocityModel(ABC):
     """Flow velocity field v(x, t) under x_t = t x_0 + (1 - t) eps."""
 

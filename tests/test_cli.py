@@ -4,8 +4,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from coupled_sampler import verify
 from coupled_sampler.cli import main
+from coupled_sampler.metrics import MetricReport
 from coupled_sampler.schedule import build_linear, schedule_to_json
+from coupled_sampler.verify import VerifyCheck
 
 
 SCHEDULE = {"num_steps": 60, "beta_start": 1e-3, "beta_end": 0.2}
@@ -350,12 +353,52 @@ class TestScheduleCommand:
                      "--target", str(tmp_path / "nope.json")]) == 2
 
 
+VERIFY_CHECKS = [
+    ("schedule-edm-roundtrip", "hard"),
+    ("schedule-shift-composition", "hard"),
+    ("schedule-align-identity", "hard"),
+    ("gmm-score-finite-difference", "hard"),
+    ("flow-duality", "hard"),
+    ("coupling-gradient-fd", "hard"),
+    ("lambda-zero-reduction", "hard"),
+    ("fixed-point-band", "soft"),
+]
+
+
 class TestVerifyCommand:
     def test_pristine_build_exits_zero(self, capsys):
         assert main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "verify: OK"
+        assert len(lines) == len(VERIFY_CHECKS) + 1
+        for line, (name, kind) in zip(lines, VERIFY_CHECKS):
+            assert line.split()[:2] == ["PASS", name]
+            assert line.endswith(f"[{kind}]")
+
+    @staticmethod
+    def stub_checks(monkeypatch, failing, hard):
+        def run_verify():
+            return [
+                VerifyCheck(MetricReport.thresholded(name, 2.0 if name == failing else 0.0,
+                                                     1.0, "le"),
+                            hard=hard if name == failing else True)
+                for name, _ in VERIFY_CHECKS
+            ]
+        monkeypatch.setattr(verify, "run_verify", run_verify)
+
+    def test_failing_hard_check_exits_one(self, monkeypatch, capsys):
+        self.stub_checks(monkeypatch, "flow-duality", hard=True)
+        assert main(["verify"]) == 1
         out = capsys.readouterr().out
-        assert "verify: OK" in out
-        assert "flow-duality" in out
+        assert "FAIL  flow-duality" in out
+        assert out.splitlines()[-1] == "verify: FAIL"
+
+    def test_failing_soft_check_exits_zero(self, monkeypatch, capsys):
+        self.stub_checks(monkeypatch, "fixed-point-band", hard=False)
+        assert main(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL  fixed-point-band" in out
+        assert out.splitlines()[-1] == "verify: OK"
 
 
 class TestSvgLimits:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from coupled_sampler.coupling import (
+    GUIDANCE_RULES,
     CouplingConfig,
+    _guidance,
     coupled_sample,
-    coupled_step,
     coupling_energy,
     coupling_gradient,
     guidance_scale,
@@ -18,8 +19,9 @@ from coupled_sampler.metrics import consistency_residual, coupling_distance
 from coupled_sampler.models import Gmm, GmmScoreModel
 from coupled_sampler.presets import resolve_pair, resolve_scene
 from coupled_sampler.rng import CHAIN_A, CHAIN_B, derive_seed
-from coupled_sampler.sampler import SamplerConfig, ddpm_step, sample
+from coupled_sampler.sampler import SamplerConfig, sample
 from coupled_sampler.schedule import build_linear
+from coupled_sampler.verify import central_difference
 
 
 def gaussian_model(mu):
@@ -78,18 +80,11 @@ class TestEnergyAndGradient:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        h = 1e-6
         for _ in range(10):
             x, y = rng.normal(size=(2, 3))
             lam = rng.uniform(0.1, 4.0)
             grad = coupling_gradient(x, y, lam)
-            fd = np.empty(3)
-            for k in range(3):
-                step = np.zeros(3)
-                step[k] = h
-                fd[k] = (
-                    coupling_energy(x + step, y, lam) - coupling_energy(x - step, y, lam)
-                ) / (2 * h)
+            fd = central_difference(lambda v: coupling_energy(v, y, lam), x, 1e-6)
             assert grad == pytest.approx(fd, abs=1e-6)
 
     def test_dimension_mismatch(self):
@@ -152,68 +147,33 @@ class TestCouplingConfig:
         assert cfg.lam_at(3) == 0.0
 
 
-class TestCoupledStep:
-    def test_lambda_zero_equals_independent_steps(self):
+class TestGuidance:
+    def test_increment_pulls_toward_partner_estimate(self):
         sched = short_schedule()
         rng = np.random.default_rng(3)
-        x_a = rng.normal(size=(8, 2))
-        x_b = rng.normal(size=(8, 2))
-        ma, mb = gaussian_model([-2.0, 0.0]), gaussian_model([2.0, 0.0])
+        x0_a, x0_b = rng.normal(size=(2, 8, 2))
         t = 20
+        for rule in GUIDANCE_RULES:
+            for cpl in (CouplingConfig(lam=1.5, guidance_scale_rule=rule),
+                        CouplingConfig(lam=3.0, guidance_scale_rule=rule,
+                                       lambda_ramp=(0.5,) * 60)):
+                inc_a, inc_b = _guidance(cpl, sched, t, t - 1, x0_a, x0_b)
+                lam = cpl.lam_at(t)
+                scale = guidance_scale(sched, t, t - 1, rule, lam)
+                assert scale > 0.0
+                assert inc_a == pytest.approx(-scale * lam * (x0_a - x0_b), rel=1e-12)
+                assert inc_b == pytest.approx(-scale * lam * (x0_b - x0_a), rel=1e-12)
 
-        class FixedRng:
-            def __init__(self, draws):
-                self.draws = list(draws)
-
-            def standard_normal(self, shape):
-                return self.draws.pop(0)
-
-        z_a, z_b = rng.normal(size=(2, 8, 2))
-        stepped = coupled_step(
-            x_a, x_b, ma, mb, sched, t, CouplingConfig(lam=0.0),
-            FixedRng([z_a, z_b]),
-        )
-        ref_a = ddpm_step(x_a, ma.predict_epsilon(x_a, t, sched), t, sched,
-                          FixedRng([z_a]))
-        ref_b = ddpm_step(x_b, mb.predict_epsilon(x_b, t, sched), t, sched,
-                          FixedRng([z_b]))
-        assert np.array_equal(stepped[0], ref_a)
-        assert np.array_equal(stepped[1], ref_b)
-
-    def test_hand_substitution(self):
-        # one ancestral step with z = 0 plus the guidance increment
+    def test_none_at_lambda_zero_and_on_final_jump(self):
         sched = short_schedule()
-        t, lam = 20, 1.0
-        ma = gaussian_model([-2.0, 0.0])
-        mb = gaussian_model([2.0, 0.0])
-        x_a = np.array([[0.5, 0.1]])
-        x_b = np.array([[-0.3, 0.2]])
-
-        class ZeroRng:
-            def standard_normal(self, shape):
-                return np.zeros(shape)
-
-        out_a, out_b = coupled_step(
-            x_a, x_b, ma, mb, sched, t, CouplingConfig(lam=lam), ZeroRng(),
-        )
-        eps_a = ma.predict_epsilon(x_a, t, sched)
-        eps_b = mb.predict_epsilon(x_b, t, sched)
-        ab_t = sched.alpha_bar_at(t)
-        x0_a = (x_a - math.sqrt(1 - ab_t) * eps_a) / math.sqrt(ab_t)
-        x0_b = (x_b - math.sqrt(1 - ab_t) * eps_b) / math.sqrt(ab_t)
-        base_a = ddpm_step(x_a, eps_a, t, sched, ZeroRng())
-        scale = guidance_scale(sched, t, t - 1, "posterior_tilt", lam)
-        assert out_a == pytest.approx(base_a - scale * lam * (x0_a - x0_b), rel=1e-12)
-        base_b = ddpm_step(x_b, eps_b, t, sched, ZeroRng())
-        assert out_b == pytest.approx(base_b - scale * lam * (x0_b - x0_a), rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            coupled_step(
-                np.zeros((1, 2)), np.zeros((1, 3)),
-                gaussian_model([0.0, 0.0]), gaussian_model([0.0, 0.0, 0.0]),
-                short_schedule(), 5, CouplingConfig(), np.random.default_rng(0),
-            )
+        x0_a, x0_b = np.ones((4, 2)), -np.ones((4, 2))
+        assert _guidance(CouplingConfig(lam=0.0), sched, 20, 19, x0_a, x0_b) is None
+        ramp = (1.0,) * 19 + (0.0,) + (1.0,) * 40
+        assert _guidance(CouplingConfig(lambda_ramp=ramp), sched, 20, 19, x0_a, x0_b) is None
+        for rule in GUIDANCE_RULES:
+            cpl = CouplingConfig(lam=1.0, guidance_scale_rule=rule)
+            assert _guidance(cpl, sched, 1, 0, x0_a, x0_b) is None
+            assert _guidance(cpl, sched, 7, 0, x0_a, x0_b) is None
 
 
 class TestCoupledSample:
@@ -271,6 +231,11 @@ class TestCoupledSample:
         ref = mutual_tilt_fixed_point(mu_a, mu_b, 1.0)
         assert ref == pytest.approx([-2.0 / 3.0, 0.0], abs=1e-12)
         assert run.batch_a.samples.mean(axis=0) == pytest.approx(ref, abs=0.1)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            coupled_sample(gaussian_model([0.0, 0.0]), gaussian_model([0.0, 0.0, 0.0]),
+                           short_schedule(), SamplerConfig(), CouplingConfig(), 0, 4)
 
     def test_ramp_length_validated(self):
         sched = short_schedule()

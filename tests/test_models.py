@@ -8,12 +8,12 @@ from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from coupled_sampler.models import (
+    BlockProductModel,
     Gmm,
     GmmScoreModel,
     GmmVelocityModel,
     MvScene,
     VelocityModel,
-    block_product_model,
     gmm_epsilon,
     gmm_flow_log_density,
     gmm_noised_log_density,
@@ -28,6 +28,7 @@ from coupled_sampler.metrics import energy_permutation_test
 from coupled_sampler.models import gmm_noised_score
 from coupled_sampler.sampler import SamplerConfig, sample
 from coupled_sampler.schedule import build_linear
+from coupled_sampler.verify import central_difference, flow_duality_error
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -156,15 +157,7 @@ class TestEpsilon:
         ab = 0.5
         x = rng.normal(scale=2.0, size=(100, 2))
         eps = gmm_epsilon(g, x, ab)
-        h = 1e-5
-        fd = np.empty_like(x)
-        for axis in range(2):
-            step = np.zeros(2)
-            step[axis] = h
-            fd[:, axis] = (
-                gmm_noised_log_density(g, x + step, ab)
-                - gmm_noised_log_density(g, x - step, ab)
-            ) / (2 * h)
+        fd = central_difference(lambda y: gmm_noised_log_density(g, y, ab), x, 1e-5)
         assert np.max(np.abs(eps - (-math.sqrt(1 - ab) * fd))) < 1e-5
 
     def test_tweedie_posterior_mean_against_quadrature(self):
@@ -232,7 +225,7 @@ class TestBlockProduct:
         rng = np.random.default_rng(9)
         g = random_gmm(rng)
         sched = build_linear(10, 0.05, 0.3)
-        model = block_product_model([GmmScoreModel(g)])
+        model = BlockProductModel([GmmScoreModel(g)])
         x = rng.normal(size=(6, 2))
         assert np.array_equal(
             model.predict_epsilon(x, 4, sched), GmmScoreModel(g).predict_epsilon(x, 4, sched)
@@ -240,7 +233,7 @@ class TestBlockProduct:
 
     def test_two_standard_normal_blocks(self):
         sched = build_linear(10, 0.05, 0.3)
-        model = block_product_model([GmmScoreModel(std_normal())] * 2)
+        model = BlockProductModel([GmmScoreModel(std_normal())] * 2)
         x = np.random.default_rng(1).normal(size=(5, 4))
         ab = sched.alpha_bar_at(3)
         assert model.predict_epsilon(x, 3, sched) == pytest.approx(
@@ -262,7 +255,7 @@ class TestBlockProduct:
                 c[2:, 2:] = gb.covariances()[j]
                 covs.append(c)
         product = Gmm.from_covariances(weights, means, covs)
-        model = block_product_model([GmmScoreModel(ga), GmmScoreModel(gb)])
+        model = BlockProductModel([GmmScoreModel(ga), GmmScoreModel(gb)])
         sched = build_linear(10, 0.05, 0.3)
         x = rng.normal(scale=1.5, size=(40, 4))
         for t in (1, 5, 10):
@@ -274,7 +267,7 @@ class TestBlockProduct:
     def test_log_density_sums_blocks(self):
         rng = np.random.default_rng(29)
         ga, gb = random_gmm(rng, k=2), random_gmm(rng, k=2)
-        model = block_product_model([GmmScoreModel(ga), GmmScoreModel(gb)])
+        model = BlockProductModel([GmmScoreModel(ga), GmmScoreModel(gb)])
         x = rng.normal(size=(7, 4))
         expected = gmm_noised_log_density(ga, x[:, :2], 1.0) + gmm_noised_log_density(
             gb, x[:, 2:], 1.0
@@ -283,7 +276,7 @@ class TestBlockProduct:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            block_product_model([])
+            BlockProductModel([])
 
 
 class TestMvScene:
@@ -417,22 +410,10 @@ class TestScoreFromVelocity:
 
     def test_duality_with_flow_density_gradient(self):
         rng = np.random.default_rng(55)
-        h = 1e-5
         for _ in range(3):
             g = random_gmm(rng)
             x = rng.normal(scale=1.5, size=(50, 2))
-            for t in (0.1, 0.5, 0.9):
-                s = score_from_velocity(velocity_from_gmm(g, x, t), x, t)
-                fd = np.empty_like(x)
-                for axis in range(2):
-                    step = np.zeros(2)
-                    step[axis] = h
-                    fd[:, axis] = (
-                        gmm_flow_log_density(g, x + step, t)
-                        - gmm_flow_log_density(g, x - step, t)
-                    ) / (2 * h)
-                denom = np.maximum(np.linalg.norm(fd, axis=1), 1.0)
-                assert np.max(np.linalg.norm(s - fd, axis=1) / denom) < 1e-6
+            assert flow_duality_error(g, x, (0.1, 0.5, 0.9)) < 1e-6
 
     def test_rejects_unit_time(self):
         with pytest.raises(ValueError):

@@ -16,11 +16,9 @@ from .metrics import (
     MetricReport,
     consistency_residual,
     coupling_distance,
-    energy_distance,
     energy_permutation_test,
     gmm_nll,
     sweep_summary,
-    tilted_log_density,
 )
 from .models import (
     BlockProductModel,
@@ -30,6 +28,7 @@ from .models import (
     MvScene,
     ScoreModel,
     VelocityModel,
+    VelocityWrappedScoreModel,
     gmm_epsilon,
     gmm_flow_log_density,
     gmm_noised_log_density,
@@ -37,7 +36,6 @@ from .models import (
     mv_consistent_model,
     score_from_velocity,
     velocity_from_gmm,
-    velocity_wrapped_score_model,
 )
 from .sampler import (
     SampleBatch,

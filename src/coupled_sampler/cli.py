@@ -42,6 +42,7 @@ from .schedule import (
     edm_sigma_to_alpha_bar,
     flow_time_to_alpha_bar,
     schedule_from_json,
+    schedule_to_json,
     shift_schedule,
 )
 
@@ -498,7 +499,7 @@ def cmd_schedule(args) -> int:
                 sched = shift_schedule(sched, args.shift)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        print(json.dumps(sched.to_json_dict(), sort_keys=True))
+        print(schedule_to_json(sched))
         return 0
     if args.schedule_cmd == "convert":
         try:
@@ -507,6 +508,8 @@ def cmd_schedule(args) -> int:
             raise ConfigError(f"--values: {exc}") from exc
         if not values:
             raise ConfigError("--values: need at least one number")
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"--values: must be finite, got {args.values}")
         arr = np.asarray(values)
         try:
             if args.source == "sigma":

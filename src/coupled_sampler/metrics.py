@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .models import Gmm, gmm_noised_log_density
 
@@ -66,16 +65,6 @@ def gmm_nll(g: Gmm, cloud) -> float:
     return float(-np.mean(gmm_noised_log_density(g, cloud, 1.0)))
 
 
-def tilted_log_density(g: Gmm, x, x_prime, lam: float):
-    """Clean log density plus the coupling energy -(lam/2) ||x - x'||^2."""
-    x = np.asarray(x, dtype=np.float64)
-    x_prime = np.asarray(x_prime, dtype=np.float64)
-    if x.shape != x_prime.shape:
-        raise ValueError("tilted points must share a shape")
-    logp = gmm_noised_log_density(g, x, 1.0)
-    return logp - 0.5 * float(lam) * np.sum((x - x_prime) ** 2, axis=-1)
-
-
 @dataclass(frozen=True)
 class CouplingDistanceSummary:
     distances: np.ndarray
@@ -97,32 +86,6 @@ def coupling_distance(batch_a, batch_b) -> CouplingDistanceSummary:
         median=float(np.median(d)),
         p90=float(np.quantile(d, 0.9)),
     )
-
-
-def energy_distance(cloud_a, cloud_b) -> float:
-    """U-statistic energy distance 2 E||X-Y|| - E||X-X'|| - E||Y-Y'||.
-
-    Within-sample terms exclude the diagonal. When the clouds are equally
-    sized the cross term excludes the positionally paired entries too, so
-    literally identical clouds score exactly zero.
-    """
-    a = _cloud(cloud_a)
-    b = _cloud(cloud_b)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("clouds must share a dimension")
-    na, nb = a.shape[0], b.shape[0]
-    if na < 2 or nb < 2:
-        raise ValueError("clouds must contain at least two points each")
-    dxx = cdist(a, a)
-    dyy = cdist(b, b)
-    dxy = cdist(a, b)
-    term_xx = dxx.sum() / (na * (na - 1))
-    term_yy = dyy.sum() / (nb * (nb - 1))
-    if na == nb:
-        term_xy = (dxy.sum() - np.trace(dxy)) / (na * (na - 1))
-    else:
-        term_xy = dxy.sum() / (na * nb)
-    return float(2.0 * term_xy - term_xx - term_yy)
 
 
 # Rows of the pooled distance matrix built at a time (8 MB at 8192 points).
@@ -220,6 +183,8 @@ def energy_permutation_test(cloud_a, cloud_b, rng: np.random.Generator,
 
 def consistency_residual(samples, n_views: int, view_dim: int):
     """Mean pairwise L2 distance between the views inside each sample."""
+    if n_views < 2:
+        raise ValueError(f"need at least two views, got {n_views}")
     x = np.asarray(samples, dtype=np.float64)
     if x.shape[-1] != n_views * view_dim:
         raise ValueError(
@@ -250,13 +215,12 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepSummary:
-    points: tuple
     distance_non_increasing: bool
     nll_non_decreasing_after_drop: bool
     half_drop_index: int | None
 
 
-def sweep_summary(points) -> SweepSummary:
+def sweep_summary(points: list[SweepPoint]) -> SweepSummary:
     """Monotonicity verdicts over an increasing-lambda grid with paired seeds.
 
     Distance verdict: medians non-increasing, allowing a single inversion
@@ -264,16 +228,13 @@ def sweep_summary(points) -> SweepSummary:
     which the median distance has dropped by half, each chain's own-model NLL
     is non-decreasing within the same relative slack.
     """
-    pts = tuple(
-        p if isinstance(p, SweepPoint) else SweepPoint(**p) for p in points
-    )
-    if len(pts) < 3:
+    if len(points) < 3:
         raise ValueError("need at least three sweep points")
-    lams = [p.lam for p in pts]
+    lams = [p.lam for p in points]
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambda grid must be strictly increasing")
 
-    med = [p.coupling_median for p in pts]
+    med = [p.coupling_median for p in points]
     soft = sum(1 for a, b in zip(med, med[1:]) if b > a)
     hard = any(b > a * (1.0 + _SWEEP_REL_TOL) for a, b in zip(med, med[1:]))
     distance_ok = (not hard) and soft <= 1
@@ -281,13 +242,12 @@ def sweep_summary(points) -> SweepSummary:
     drop_idx = next((i for i, v in enumerate(med) if v <= 0.5 * med[0]), None)
     nll_ok = True
     if drop_idx is not None:
-        for series in ([p.nll_a for p in pts], [p.nll_b for p in pts]):
+        for series in ([p.nll_a for p in points], [p.nll_b for p in points]):
             tail = series[drop_idx:]
             slack = [_SWEEP_REL_TOL * max(1.0, abs(v)) for v in tail]
             if any(b < a - s for a, b, s in zip(tail, tail[1:], slack)):
                 nll_ok = False
     return SweepSummary(
-        points=pts,
         distance_non_increasing=distance_ok,
         nll_non_decreasing_after_drop=nll_ok,
         half_drop_index=drop_idx,

@@ -287,10 +287,6 @@ class ScoreModel(ABC):
     def describe(self) -> dict:
         """JSON-able payload identifying the model for run fingerprints."""
 
-    def log_density(self, x) -> np.ndarray:
-        """Clean data log density, where analytically available."""
-        raise NotImplementedError(f"{type(self).__name__} has no closed-form density")
-
 
 class GmmScoreModel(ScoreModel):
     def __init__(self, gmm: Gmm):
@@ -303,9 +299,6 @@ class GmmScoreModel(ScoreModel):
 
     def predict_epsilon(self, x, t, schedule):
         return _epsilon(self.gmm, x, schedule.alpha_bar_at(t), self._levels)
-
-    def log_density(self, x):
-        return gmm_noised_log_density(self.gmm, x, 1.0)
 
     def describe(self) -> dict:
         return {"kind": "gmm", **self.gmm.to_dict()}
@@ -339,12 +332,6 @@ class BlockProductModel(ScoreModel):
             for blk, sl in zip(self.blocks, self._slices)
         ]
         return np.concatenate(parts, axis=-1)
-
-    def log_density(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return sum(
-            blk.log_density(x[..., sl]) for blk, sl in zip(self.blocks, self._slices)
-        )
 
     def describe(self) -> dict:
         return {"kind": "block_product", "blocks": [b.describe() for b in self.blocks]}
@@ -451,18 +438,6 @@ class VelocityWrappedScoreModel(ScoreModel):
 
     def describe(self) -> dict:
         return {"kind": "velocity_wrapped", "inner": self.vm.describe()}
-
-
-def velocity_wrapped_score_model(
-    vm: VelocityModel, schedule: NoiseSchedule
-) -> VelocityWrappedScoreModel:
-    """Wrap a velocity field as an epsilon-predictor for the given schedule."""
-    ab = schedule.alpha_bar
-    if np.any(ab >= 1.0):
-        raise ValueError("schedule contains a zero-noise step")
-    # Raises if any level falls outside the usable flow-time range.
-    alpha_bar_to_flow_time(ab)
-    return VelocityWrappedScoreModel(vm)
 
 
 @dataclass(frozen=True)

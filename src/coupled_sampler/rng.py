@@ -30,6 +30,12 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
+def _seed_sequence(seed: int, labels) -> np.random.SeedSequence:
+    return np.random.SeedSequence(
+        entropy=_check_seed(seed), spawn_key=tuple(int(v) for v in labels)
+    )
+
+
 class NoiseStream:
     """Counter-based source of standard-normal blocks."""
 
@@ -37,23 +43,14 @@ class NoiseStream:
         self.seed = _check_seed(seed)
 
     def normal(self, shape, *labels: int) -> np.ndarray:
-        ss = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=tuple(int(v) for v in labels)
-        )
-        return np.random.Generator(np.random.Philox(ss)).standard_normal(shape)
+        return generator(self.seed, *labels).standard_normal(shape)
 
 
 def derive_seed(seed: int, *labels: int) -> int:
     """Derive an independent u64 child seed from (seed, labels)."""
-    ss = np.random.SeedSequence(
-        entropy=_check_seed(seed), spawn_key=tuple(int(v) for v in labels)
-    )
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, labels).generate_state(1, np.uint64)[0])
 
 
 def generator(seed: int, *labels: int) -> np.random.Generator:
     """A full Generator keyed by (seed, labels), for categorical draws etc."""
-    ss = np.random.SeedSequence(
-        entropy=_check_seed(seed), spawn_key=tuple(int(v) for v in labels)
-    )
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, labels)))

@@ -64,9 +64,9 @@ class NoiseSchedule:
         ab = self.alpha_bar
         if ab[-1] <= 0.0:
             raise ValueError("alpha_bar_T must stay positive")
-        if not np.all(np.diff(ab) < 0.0):
-            raise ValueError("alpha_bar must be strictly decreasing")
         prev = np.concatenate([[1.0], ab[:-1]])
+        if not np.all(ab < prev):
+            raise ValueError("alpha_bar must be strictly decreasing from alpha_bar_0 = 1")
         err = np.abs(ab - prev * self.alpha) / ab
         if np.max(err) > _REL_TOL:
             raise ValueError("alpha_bar product identity violated")
@@ -166,11 +166,11 @@ def alpha_bar_to_edm_sigma(alpha_bar):
     return float(out) if out.ndim == 0 else out
 
 
-def flow_time_to_alpha_bar(t_flow, t_min: float = DEFAULT_FLOW_TIME_MIN):
+def flow_time_to_alpha_bar(t_flow):
     """alpha_bar matching the SNR of the flow interpolation at time t."""
     t = np.asarray(t_flow, dtype=np.float64)
-    if np.any(t < t_min) or np.any(t > 1.0):
-        raise ValueError(f"flow time must lie in [{t_min}, 1]")
+    if np.any(t < DEFAULT_FLOW_TIME_MIN) or np.any(t > 1.0):
+        raise ValueError(f"flow time must lie in [{DEFAULT_FLOW_TIME_MIN}, 1]")
     out = t * t / (t * t + (1.0 - t) ** 2)
     return float(out) if out.ndim == 0 else out
 

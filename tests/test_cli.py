@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +280,10 @@ def _one_point(doc):
     doc["n"] = 1
 
 
+def _noiseless_first_step(doc):
+    doc["schedule"] = {"num_steps": 20, "beta_start": 1e-17, "beta_end": 0.3}
+
+
 @pytest.mark.parametrize("command, mutate, key", [
     ("sample", _set_sampler(step_subset=[9, 5, 1]), "step_subset"),
     ("couple", _set_sampler(step_subset=[20, 20, 1]), "step_subset"),
@@ -284,8 +292,9 @@ def _one_point(doc):
     ("sweep", _negative_grid, "lambda_grid"),
     ("sample", _seed_past_u64, "seed"),
     ("sample", _one_point, "n: must be >= 2"),
+    ("sample", _noiseless_first_step, "schedule: alpha_bar must be strictly decreasing"),
 ], ids=["subset_not_from_T", "subset_repeats", "ramp_couple", "ramp_sweep", "negative_grid",
-        "seed_past_u64", "sample_one_point"])
+        "seed_past_u64", "sample_one_point", "noiseless_first_step"])
 def test_bad_value_rejected_before_output(tmp_path, capsys, command, mutate, key):
     doc = sample_config() if command == "sample" else couple_config()
     mutate(doc)
@@ -333,6 +342,14 @@ class TestScheduleCommand:
     def test_convert_rejects_bad_values(self, capsys):
         assert main(["schedule", "convert", "--source", "sigma",
                      "--values", "-1"]) == 2
+
+    @pytest.mark.parametrize("source", ["sigma", "alpha-bar", "flow-time"])
+    @pytest.mark.parametrize("values", ["nan,0.5", "inf"])
+    def test_convert_rejects_non_finite_values(self, capsys, source, values):
+        assert main(["schedule", "convert", "--source", source, "--values", values]) == 2
+        captured = capsys.readouterr()
+        assert "--values" in captured.err and "finite" in captured.err
+        assert captured.out == ""
 
     def test_align(self, tmp_path, capsys):
         src = tmp_path / "src.json"
@@ -425,3 +442,16 @@ def test_preset_dir_env_override(tmp_path, monkeypatch, capsys):
     assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
     header = (out / "samples.csv").read_text().splitlines()[0]
     assert header == "chain_index,dim_0"
+
+
+def test_cli_import_skips_scipy_spatial():
+    # a fresh interpreter: this process has already imported whatever the
+    # other tests pulled in
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, coupled_sampler.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ from coupled_sampler.models import (
     GmmVelocityModel,
     MvScene,
     VelocityModel,
+    VelocityWrappedScoreModel,
     gmm_epsilon,
     gmm_flow_log_density,
     gmm_noised_log_density,
@@ -22,7 +23,6 @@ from coupled_sampler.models import (
     mv_view_marginal,
     score_from_velocity,
     velocity_from_gmm,
-    velocity_wrapped_score_model,
 )
 from coupled_sampler.metrics import energy_permutation_test
 from coupled_sampler.models import gmm_noised_score
@@ -264,16 +264,6 @@ class TestBlockProduct:
                 gmm_epsilon(product, x, ab), abs=1e-10
             )
 
-    def test_log_density_sums_blocks(self):
-        rng = np.random.default_rng(29)
-        ga, gb = random_gmm(rng, k=2), random_gmm(rng, k=2)
-        model = BlockProductModel([GmmScoreModel(ga), GmmScoreModel(gb)])
-        x = rng.normal(size=(7, 4))
-        expected = gmm_noised_log_density(ga, x[:, :2], 1.0) + gmm_noised_log_density(
-            gb, x[:, 2:], 1.0
-        )
-        assert model.log_density(x) == pytest.approx(expected, rel=1e-12)
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             BlockProductModel([])
@@ -424,7 +414,7 @@ class TestVelocityWrapping:
     def test_standard_normal_equals_gmm_epsilon(self):
         g = std_normal()
         sched = build_linear(20, 0.02, 0.3)
-        wrapped = velocity_wrapped_score_model(GmmVelocityModel(g), sched)
+        wrapped = VelocityWrappedScoreModel(GmmVelocityModel(g))
         x = np.random.default_rng(6).normal(size=(10, 2))
         for t in (1, 7, 20):
             ab = sched.alpha_bar_at(t)
@@ -436,7 +426,7 @@ class TestVelocityWrapping:
         rng = np.random.default_rng(61)
         g = random_gmm(rng)
         sched = build_linear(25, 0.01, 0.35)
-        wrapped = velocity_wrapped_score_model(GmmVelocityModel(g), sched)
+        wrapped = VelocityWrappedScoreModel(GmmVelocityModel(g))
         direct = GmmScoreModel(g)
         x = rng.normal(scale=1.5, size=(30, 2))
         for t in (1, 5, 12, 25):
@@ -455,7 +445,7 @@ class TestVelocityWrapping:
                 return {"kind": "still"}
 
         sched = build_linear(5, 0.1, 0.2)
-        wrapped = velocity_wrapped_score_model(Still(), sched)
+        wrapped = VelocityWrappedScoreModel(Still())
         with pytest.raises(ValueError):
             wrapped.predict_epsilon(np.zeros(2), 0, sched)
 

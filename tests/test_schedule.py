@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from coupled_sampler import schedule as sched_mod
 from coupled_sampler.schedule import (
     NoiseSchedule,
     align_schedules,
@@ -54,6 +53,14 @@ class TestBuildLinear:
             assert np.max(np.abs(s.alpha_bar - prev * s.alpha) / s.alpha_bar) < 1e-12
             assert np.all(np.diff(s.alpha_bar) < 0)
             assert s.alpha_bar[-1] > 0
+
+    def test_rejects_first_alpha_bar_rounding_to_one(self):
+        # 1 - 1e-17 rounds to 1.0: step 1 would carry no noise at all
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            build_linear(20, 1e-17, 0.3)
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            NoiseSchedule.from_betas([1e-17, 0.1])
+        assert NoiseSchedule.from_betas([1e-16, 0.1]).alpha_bar[0] < 1.0
 
 
 class TestShift:
@@ -199,7 +206,3 @@ def test_alpha_bar_at_convention():
     assert s.alpha_bar_at(3) == pytest.approx(0.504, rel=1e-12)
     with pytest.raises(ValueError):
         s.alpha_bar_at(4)
-
-
-def test_default_flow_time_min_is_configurable():
-    assert sched_mod.flow_time_to_alpha_bar(1e-7, t_min=1e-8) > 0

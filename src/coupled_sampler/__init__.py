@@ -41,8 +41,6 @@ from .sampler import (
     SampleBatch,
     SamplerConfig,
     Trajectory,
-    ddim_step,
-    ddpm_step,
     sample,
     x0_from_epsilon,
 )

@@ -30,7 +30,7 @@ from .metrics import (
     gmm_nll,
     sweep_summary,
 )
-from .models import Gmm, GmmScoreModel, gmm_sample, mv_edit_chain_model, mv_consistent_model
+from .models import Gmm, GmmScoreModel, gmm_sample, mv_chain_models
 from .presets import resolve_gmm, resolve_pair, resolve_scene
 from .rng import _check_seed, generator
 from .sampler import SamplerConfig, sample
@@ -172,7 +172,8 @@ def parse_schedule_cfg(doc, loc="schedule") -> NoiseSchedule:
     fields = _require(doc, loc, _SCHEDULE_SCHEMA)
     with _building(loc):
         sched = build_linear(fields["num_steps"], fields["beta_start"], fields["beta_end"])
-        if "shift" in fields:
+    if "shift" in fields:
+        with _building(f"{loc}.shift"):
             sched = shift_schedule(sched, fields["shift"])
     return sched
 
@@ -264,8 +265,8 @@ def _resolve_couple_models(fields):
     if "scene" in fields:
         with _building("scene"):
             scene = resolve_scene(fields["scene"])
-        joint = mv_consistent_model(scene)
-        return mv_edit_chain_model(scene), GmmScoreModel(joint), None, joint, scene, reference
+        model_a, model_b = mv_chain_models(scene)
+        return model_a, model_b, None, model_b.gmm, scene, reference
     if "pair" in fields:
         with _building("pair"):
             gmm_a, gmm_b, reference = resolve_pair(fields["pair"])
@@ -495,10 +496,11 @@ def cmd_schedule(args) -> int:
     if args.schedule_cmd == "build":
         try:
             sched = build_linear(args.num_steps, args.beta_start, args.beta_end)
-            if args.shift is not None:
-                sched = shift_schedule(sched, args.shift)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if args.shift is not None:
+            with _building("--shift"):
+                sched = shift_schedule(sched, args.shift)
         print(schedule_to_json(sched))
         return 0
     if args.schedule_cmd == "convert":
@@ -528,7 +530,7 @@ def cmd_schedule(args) -> int:
             return schedule_from_json(Path(path).read_text())
         except FileNotFoundError as exc:
             raise ConfigError(f"{flag}: file not found: {path}") from exc
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{flag}: {exc}") from exc
 
     source = _load_sched(args.source_file, "--source")

@@ -28,13 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import consistency_residual
-from .models import (
-    MvScene,
-    ScoreModel,
-    GmmScoreModel,
-    mv_consistent_model,
-    mv_edit_chain_model,
-)
+from .models import MvScene, ScoreModel, mv_chain_models
 from .rng import CHAIN_A, CHAIN_B, NoiseStream, derive_seed
 from .sampler import (
     SamplerConfig,
@@ -80,14 +74,6 @@ class CouplingConfig:
         if self.lambda_ramp is None:
             return self.lam
         return self.lam * self.lambda_ramp[t - 1]
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "guidance_scale_rule": self.guidance_scale_rule,
-            "noise_policy": self.noise_policy,
-            "lambda_ramp": list(self.lambda_ramp) if self.lambda_ramp else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -255,8 +241,7 @@ def mv_edit_demo(scene: MvScene, schedule: NoiseSchedule, coupling: CouplingConf
     Returns the coupled batches plus per-sample view-consistency residuals
     for both chains.
     """
-    model_a = mv_edit_chain_model(scene)
-    model_b = GmmScoreModel(mv_consistent_model(scene))
+    model_a, model_b = mv_chain_models(scene)
     result = coupled_sample(model_a, model_b, schedule, SamplerConfig(), coupling, seed, n)
     return replace(
         result,

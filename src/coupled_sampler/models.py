@@ -236,15 +236,6 @@ def gmm_noised_log_density(g: Gmm, x, alpha_bar: float):
     return _mixture_eval(x, _noised_level(g, alpha_bar), want_score=False)
 
 
-def gmm_noised_score(g: Gmm, x, alpha_bar: float):
-    """grad_x log p_t(x) at noise level alpha_bar in (0, 1)."""
-    alpha_bar = float(alpha_bar)
-    if not 0.0 < alpha_bar < 1.0:
-        raise ValueError("alpha_bar must lie in (0, 1)")
-    _, score = _mixture_eval(x, _noised_level(g, alpha_bar), want_score=True)
-    return score
-
-
 def _epsilon(g: Gmm, x, alpha_bar: float, levels: dict):
     """gmm_epsilon, reading the level table from levels and filling it on a miss."""
     alpha_bar = float(alpha_bar)
@@ -305,36 +296,32 @@ class GmmScoreModel(ScoreModel):
 
 
 class BlockProductModel(ScoreModel):
-    """Product of independent blocks, each handled by its own model."""
+    """n_blocks independent views, each modelled by the same block model.
 
-    def __init__(self, blocks):
-        blocks = tuple(blocks)
-        if not blocks:
+    A point holds the views side by side on its last axis. The views are
+    folded into the batch, (..., n_blocks * d) -> (-1, d), so one block call
+    evaluates all of them.
+    """
+
+    def __init__(self, block: ScoreModel, n_blocks: int):
+        if n_blocks < 1:
             raise ValueError("need at least one block")
-        self.blocks = blocks
-        dims = [b.dim for b in blocks]
-        offsets = np.concatenate([[0], np.cumsum(dims)])
-        self._slices = tuple(
-            slice(int(offsets[i]), int(offsets[i + 1])) for i in range(len(blocks))
-        )
-        self._dim = int(offsets[-1])
+        self.block = block
+        self.n_blocks = int(n_blocks)
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self.n_blocks * self.block.dim
 
     def predict_epsilon(self, x, t, schedule):
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self._dim:
-            raise ValueError(f"points have dimension {x.shape[-1]}, model has {self._dim}")
-        parts = [
-            blk.predict_epsilon(x[..., sl], t, schedule)
-            for blk, sl in zip(self.blocks, self._slices)
-        ]
-        return np.concatenate(parts, axis=-1)
+        if x.shape[-1] != self.dim:
+            raise ValueError(f"points have dimension {x.shape[-1]}, model has {self.dim}")
+        eps = self.block.predict_epsilon(x.reshape(-1, self.block.dim), t, schedule)
+        return eps.reshape(x.shape)
 
     def describe(self) -> dict:
-        return {"kind": "block_product", "blocks": [b.describe() for b in self.blocks]}
+        return {"kind": "block_product", "blocks": [self.block.describe()] * self.n_blocks}
 
 
 class VelocityModel(ABC):
@@ -463,10 +450,6 @@ class MvScene:
         if self.latent_gmm.dim != self.view_dim or self.edit_gmm.dim != self.view_dim:
             raise ValueError("latent and edit mixtures must live in view_dim")
 
-    @property
-    def joint_dim(self) -> int:
-        return self.n_views * self.view_dim
-
     def to_dict(self) -> dict:
         return {
             "n_views": self.n_views,
@@ -511,7 +494,8 @@ def mv_view_marginal(scene: MvScene) -> Gmm:
     return Gmm.from_covariances(lat.weights, lat.means, covs)
 
 
-def mv_edit_chain_model(scene: MvScene) -> BlockProductModel:
-    """Per-view independent edit model over the joint view space."""
-    # One instance for every view, so the views share its level tables.
-    return BlockProductModel([GmmScoreModel(scene.edit_gmm)] * scene.n_views)
+def mv_chain_models(scene: MvScene) -> tuple:
+    """(edit chain, consistent chain): the per-view edit model over the joint
+    view space and the shared-latent joint mixture."""
+    return (BlockProductModel(GmmScoreModel(scene.edit_gmm), scene.n_views),
+            GmmScoreModel(mv_consistent_model(scene)))

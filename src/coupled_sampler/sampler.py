@@ -17,10 +17,9 @@ x_{t-1} = sqrt(alpha_bar_{t-1}) x0_hat + sqrt(1 - alpha_bar_{t-1}) eps_hat.
 
 The final step (t = 1) never injects noise and returns the clean estimate
 exactly. Single and coupled runs share one step kernel (_step) and one loop
-(_run_chains); the public step functions wrap the same kernel. Each step's
-(n, d) noise block is addressed by (seed, stream, step), so a batch is
-bit-reproducible from (seed, config); a shard of the n chains cannot yet
-draw only its own rows.
+(_run_chains). Each step's (n, d) noise block is addressed by (seed, stream,
+step), so a batch is bit-reproducible from (seed, config); a shard of the n
+chains cannot yet draw only its own rows.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ class SamplerConfig:
         if self.step_subset is None:
             return list(range(T, 0, -1))
         sub = list(self.step_subset)
-        if sub[0] != T or sub[-1] != 1:
+        if not sub or sub[0] != T or sub[-1] != 1:
             raise ValueError("step_subset must start at T and end at 1")
         if any(nxt >= prev for prev, nxt in zip(sub, sub[1:])):
             raise ValueError("step_subset must be strictly decreasing")
@@ -101,14 +100,6 @@ class SampleBatch:
     seed: int
     fingerprint: str
     trajectory: Trajectory | None = None
-
-    @property
-    def n(self) -> int:
-        return int(self.samples.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.samples.shape[1])
 
 
 def x0_from_epsilon(x_t, eps_hat, alpha_bar_t: float):
@@ -151,24 +142,6 @@ def _step(x_t, eps_hat, z, schedule: NoiseSchedule, t: int, t_next: int,
     ab_t, _, beta_eff, sigma = step_coefficients(schedule, t, t_next, variance_rule)
     mean = (x_t - beta_eff / math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(1.0 - beta_eff)
     return x0, mean + sigma * z
-
-
-def ddpm_step(x_t, eps_hat, t: int, schedule: NoiseSchedule, rng,
-              variance_rule: str = DEFAULT_VARIANCE_RULE):
-    """One ancestral step t -> t-1; at t = 1 returns the clean estimate."""
-    schedule._check_step(t)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    z = rng.standard_normal(x_t.shape) if t > 1 else None
-    return _step(x_t, eps_hat, z, schedule, t, t - 1, "ancestral", variance_rule)[1]
-
-
-def ddim_step(x_t, eps_hat, t: int, schedule: NoiseSchedule):
-    """Deterministic step t -> t-1; at t = 1 returns the clean estimate."""
-    schedule._check_step(t)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    return _step(x_t, eps_hat, None, schedule, t, t - 1, "deterministic")[1]
 
 
 def config_fingerprint(model: ScoreModel, schedule: NoiseSchedule,

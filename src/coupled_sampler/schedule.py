@@ -106,8 +106,10 @@ class NoiseSchedule:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NoiseSchedule":
+        if not isinstance(doc, dict) or not isinstance(doc.get("beta"), list):
+            raise ValueError("expected an object with a beta list")
         beta = doc["beta"]
-        if doc.get("num_steps") is not None and int(doc["num_steps"]) != len(beta):
+        if doc.get("num_steps") is not None and doc["num_steps"] != len(beta):
             raise ValueError("num_steps does not match beta length")
         sched = cls.from_betas(beta)
         stored = doc.get("alpha_bar_sha256")
@@ -153,7 +155,10 @@ def edm_sigma_to_alpha_bar(sigma):
     sigma = np.asarray(sigma, dtype=np.float64)
     if np.any(sigma < 0.0):
         raise ValueError("sigma must be non-negative")
-    out = 1.0 / (1.0 + sigma * sigma)
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + sigma * sigma)
+    if np.any(out == 0.0):  # outside the (0, 1] the inverse accepts
+        raise ValueError("sigma too large: alpha_bar underflows to 0")
     return float(out) if out.ndim == 0 else out
 
 
@@ -162,7 +167,10 @@ def alpha_bar_to_edm_sigma(alpha_bar):
     ab = np.asarray(alpha_bar, dtype=np.float64)
     if np.any((ab <= 0.0) | (ab > 1.0)):
         raise ValueError("alpha_bar must lie in (0, 1]")
-    out = np.sqrt((1.0 - ab) / ab)
+    with np.errstate(over="ignore"):
+        out = np.sqrt((1.0 - ab) / ab)
+    if np.any(out == np.inf):
+        raise ValueError("alpha_bar too small: sigma overflows")
     return float(out) if out.ndim == 0 else out
 
 

@@ -284,6 +284,10 @@ def _noiseless_first_step(doc):
     doc["schedule"] = {"num_steps": 20, "beta_start": 1e-17, "beta_end": 0.3}
 
 
+def _tiny_shift(doc):
+    doc["schedule"]["shift"] = 1e-9  # every shifted alpha_bar rounds to 1
+
+
 @pytest.mark.parametrize("command, mutate, key", [
     ("sample", _set_sampler(step_subset=[9, 5, 1]), "step_subset"),
     ("couple", _set_sampler(step_subset=[20, 20, 1]), "step_subset"),
@@ -293,8 +297,9 @@ def _noiseless_first_step(doc):
     ("sample", _seed_past_u64, "seed"),
     ("sample", _one_point, "n: must be >= 2"),
     ("sample", _noiseless_first_step, "schedule: alpha_bar must be strictly decreasing"),
+    ("sample", _tiny_shift, "schedule.shift: every beta_t"),
 ], ids=["subset_not_from_T", "subset_repeats", "ramp_couple", "ramp_sweep", "negative_grid",
-        "seed_past_u64", "sample_one_point", "noiseless_first_step"])
+        "seed_past_u64", "sample_one_point", "noiseless_first_step", "shift_too_small"])
 def test_bad_value_rejected_before_output(tmp_path, capsys, command, mutate, key):
     doc = sample_config() if command == "sample" else couple_config()
     mutate(doc)
@@ -327,6 +332,12 @@ class TestScheduleCommand:
         assert doc["num_steps"] == 5
         assert len(doc["beta"]) == 5
 
+    def test_build_shift_error_names_flag(self, capsys):
+        assert main(["schedule", "build", "--num-steps", "3", "--beta-start", "0.1",
+                     "--beta-end", "0.2", "--shift", "1e-9"]) == 2
+        captured = capsys.readouterr()
+        assert "--shift" in captured.err and captured.out == ""
+
     def test_convert_sigma(self, capsys):
         assert main(["schedule", "convert", "--source", "sigma",
                      "--values", "0,1,3"]) == 0
@@ -351,6 +362,15 @@ class TestScheduleCommand:
         assert "--values" in captured.err and "finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning fails the test
+    @pytest.mark.parametrize("source, values", [("sigma", "1e200"), ("alpha-bar", "1e-320")],
+                             ids=["alpha_bar_underflows", "sigma_overflows"])
+    def test_convert_rejects_out_of_range_results(self, capsys, source, values):
+        assert main(["schedule", "convert", "--source", source, "--values", values]) == 2
+        captured = capsys.readouterr()
+        assert "--values" in captured.err
+        assert captured.out == ""
+
     def test_align(self, tmp_path, capsys):
         src = tmp_path / "src.json"
         tgt = tmp_path / "tgt.json"
@@ -362,6 +382,20 @@ class TestScheduleCommand:
         assert doc["source_steps"] == 10
         targets = [t for _, t in doc["mapping"]]
         assert all(b >= a for a, b in zip(targets, targets[1:]))
+
+    @pytest.mark.parametrize("flag", ["--source", "--target"])
+    @pytest.mark.parametrize("text", [
+        '[0.1, 0.2]', '{"beta": [0.1, 0.2], "num_steps": [2]}', '{"beta": [0.1, {}]}',
+    ], ids=["array", "num_steps_list", "beta_holds_object"])
+    def test_align_rejects_malformed_schedule(self, tmp_path, capsys, flag, text):
+        good = tmp_path / "good.json"
+        good.write_text(schedule_to_json(build_linear(5, 0.1, 0.2)))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        files = {"--source": good, "--target": good, flag: bad}
+        assert main(["schedule", "align", "--source", str(files["--source"]),
+                     "--target", str(files["--target"])]) == 2
+        assert flag in capsys.readouterr().err
 
     def test_align_missing_file(self, tmp_path):
         src = tmp_path / "src.json"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coupled_sampler import models
 from coupled_sampler.coupling import (
     GUIDANCE_RULES,
     CouplingConfig,
@@ -325,6 +326,20 @@ class TestMvEditDemo:
         hard = any(b > a * 1.02 for a, b in zip(medians, medians[1:]))
         soft = sum(1 for a, b in zip(medians, medians[1:]) if b > a)
         assert not hard and soft <= 1, medians
+
+    def test_one_mixture_evaluation_per_chain_per_step(self, monkeypatch):
+        calls = []
+        evaluate = models._mixture_eval
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(models, "_mixture_eval", counted)
+        sched = build_linear(20, 1e-3, 0.2)
+        mv_edit_demo(resolve_scene("mv-triangle"), sched, CouplingConfig(lam=1.0), seed=3, n=16)
+        # the edit chain evaluates all three views in one call
+        assert len(calls) == 2 * sched.num_steps
 
 
 class TestMutualTiltFixedPoint:

@@ -25,7 +25,6 @@ from coupled_sampler.models import (
     velocity_from_gmm,
 )
 from coupled_sampler.metrics import energy_permutation_test
-from coupled_sampler.models import gmm_noised_score
 from coupled_sampler.sampler import SamplerConfig, sample
 from coupled_sampler.schedule import build_linear
 from coupled_sampler.verify import central_difference, flow_duality_error
@@ -225,7 +224,7 @@ class TestBlockProduct:
         rng = np.random.default_rng(9)
         g = random_gmm(rng)
         sched = build_linear(10, 0.05, 0.3)
-        model = BlockProductModel([GmmScoreModel(g)])
+        model = BlockProductModel(GmmScoreModel(g), 1)
         x = rng.normal(size=(6, 2))
         assert np.array_equal(
             model.predict_epsilon(x, 4, sched), GmmScoreModel(g).predict_epsilon(x, 4, sched)
@@ -233,7 +232,7 @@ class TestBlockProduct:
 
     def test_two_standard_normal_blocks(self):
         sched = build_linear(10, 0.05, 0.3)
-        model = BlockProductModel([GmmScoreModel(std_normal())] * 2)
+        model = BlockProductModel(GmmScoreModel(std_normal()), 2)
         x = np.random.default_rng(1).normal(size=(5, 4))
         ab = sched.alpha_bar_at(3)
         assert model.predict_epsilon(x, 3, sched) == pytest.approx(
@@ -242,20 +241,19 @@ class TestBlockProduct:
 
     def test_matches_product_mixture(self):
         rng = np.random.default_rng(23)
-        ga = random_gmm(rng, k=2)
-        gb = random_gmm(rng, k=3)
-        # explicit K*K product mixture over the concatenated space
+        g = random_gmm(rng, k=3)
+        # explicit K*K product mixture of g with itself over the two views
         weights, means, covs = [], [], []
-        for i in range(2):
+        for i in range(3):
             for j in range(3):
-                weights.append(ga.weights[i] * gb.weights[j])
-                means.append(np.concatenate([ga.means[i], gb.means[j]]))
+                weights.append(g.weights[i] * g.weights[j])
+                means.append(np.concatenate([g.means[i], g.means[j]]))
                 c = np.zeros((4, 4))
-                c[:2, :2] = ga.covariances()[i]
-                c[2:, 2:] = gb.covariances()[j]
+                c[:2, :2] = g.covariances()[i]
+                c[2:, 2:] = g.covariances()[j]
                 covs.append(c)
         product = Gmm.from_covariances(weights, means, covs)
-        model = BlockProductModel([GmmScoreModel(ga), GmmScoreModel(gb)])
+        model = BlockProductModel(GmmScoreModel(g), 2)
         sched = build_linear(10, 0.05, 0.3)
         x = rng.normal(scale=1.5, size=(40, 4))
         for t in (1, 5, 10):
@@ -264,9 +262,43 @@ class TestBlockProduct:
                 gmm_epsilon(product, x, ab), abs=1e-10
             )
 
+    def test_folded_call_matches_per_view_calls(self):
+        rng = np.random.default_rng(31)
+        block = GmmScoreModel(random_gmm(rng, k=3))
+        model = BlockProductModel(block, 3)
+        sched = build_linear(10, 0.05, 0.3)
+        wide = rng.normal(scale=2.0, size=(2, 5, 12))
+        cases = {
+            "n=1": rng.normal(scale=2.0, size=(1, 6)),
+            "n=7": rng.normal(scale=2.0, size=(7, 6)),
+            "batch axis": rng.normal(scale=2.0, size=(2, 3, 6)),
+            "non-contiguous": wide[0, :, :6],
+            "non-contiguous, batch axis": wide[..., ::2],
+        }
+        for name, x in cases.items():
+            per_view = np.concatenate(
+                [block.predict_epsilon(x[..., 2 * v:2 * v + 2], 4, sched) for v in range(3)],
+                axis=-1,
+            )
+            folded = model.predict_epsilon(x, 4, sched)
+            if name == "n=1":
+                # A one-row per-view call makes LAPACK solve a single right-hand
+                # side, which rounds differently from the three-row folded call.
+                np.testing.assert_allclose(folded, per_view, rtol=1e-13, atol=1e-15)
+            else:
+                assert np.array_equal(folded, per_view), name
+        with pytest.raises(ValueError, match="dimension"):
+            model.predict_epsilon(np.zeros((4, 4)), 4, sched)
+
+    def test_describe_lists_the_block_once_per_view(self):
+        block = GmmScoreModel(std_normal())
+        assert BlockProductModel(block, 3).describe() == {
+            "kind": "block_product", "blocks": [block.describe()] * 3,
+        }
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            BlockProductModel([])
+            BlockProductModel(GmmScoreModel(std_normal()), 0)
 
 
 class TestMvScene:
@@ -533,7 +565,6 @@ class TestScipyOracle:
             for ab in (1e-3, 0.37, 0.999):
                 log_p, score, _, _ = scipy_noised(g, x, ab)
                 np.testing.assert_array_equal(gmm_noised_log_density(g, x, ab), log_p)
-                np.testing.assert_array_equal(gmm_noised_score(g, x, ab), score)
                 np.testing.assert_array_equal(gmm_epsilon(g, x, ab),
                                               -math.sqrt(1.0 - ab) * score)
             np.testing.assert_array_equal(gmm_noised_log_density(g, x, 1.0),
@@ -582,7 +613,6 @@ def test_non_finite_points_rejected(value):
     x[2, 1] = value
     sched = build_linear(10, 0.05, 0.3)
     calls = [
-        lambda: gmm_noised_score(g, x, 0.5),
         lambda: gmm_noised_log_density(g, x, 0.5),
         lambda: gmm_epsilon(g, x, 0.5),
         lambda: velocity_from_gmm(g, x, 0.5),

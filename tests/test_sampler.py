@@ -6,18 +6,12 @@ import pytest
 from coupled_sampler.models import Gmm, GmmScoreModel
 from coupled_sampler.sampler import (
     SamplerConfig,
+    _step,
     config_fingerprint,
-    ddim_step,
-    ddpm_step,
     sample,
     x0_from_epsilon,
 )
 from coupled_sampler.schedule import build_linear
-
-
-class ZeroRng:
-    def standard_normal(self, shape):
-        return np.zeros(shape)
 
 
 def std_normal_model(d=2):
@@ -60,30 +54,29 @@ class TestSteps:
     def test_final_step_returns_clean_estimate(self):
         x = np.array([0.7, -1.1])
         eps = np.array([0.2, 0.4])
-        out = ddpm_step(x, eps, 1, self.sched, ZeroRng())
+        x0, out = _step(x, eps, np.ones(2), self.sched, 1, 0, "ancestral")  # z is not used
         assert np.array_equal(out, x0_from_epsilon(x, eps, 0.9))
-        assert np.array_equal(ddim_step(x, eps, 1, self.sched), out)
+        assert np.array_equal(x0, out)
+        assert np.array_equal(_step(x, eps, None, self.sched, 1, 0, "deterministic")[1], out)
 
     def test_ancestral_mean_hand_case(self):
         # (x - beta_2 / sqrt(1 - ab_2) eps) / sqrt(alpha_2), frozen arithmetic
-        out = ddpm_step(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 2, self.sched,
-                        ZeroRng(), variance_rule="beta_tilde")
+        _, out = _step(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2), self.sched,
+                       2, 1, "ancestral", variance_rule="beta_tilde")
         assert out == pytest.approx([1.118033988749895, -0.4225771273642583], rel=1e-12)
 
     def test_deterministic_hand_case(self):
         # sqrt(ab_1) x0 + sqrt(1 - ab_1) eps with x0 from the same inputs
-        out = ddim_step(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 2, self.sched)
+        _, out = _step(np.array([1.0, 0.0]), np.array([0.0, 1.0]), None, self.sched,
+                       2, 1, "deterministic")
         assert out == pytest.approx([1.1180339887498947, -0.2753802122931236], rel=1e-12)
 
     def test_variance_rules_scale_noise(self):
-        class OnesRng:
-            def standard_normal(self, shape):
-                return np.ones(shape)
-
         x, eps = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        base = ddpm_step(x, eps, 2, self.sched, ZeroRng(), variance_rule="beta")
-        beta_out = ddpm_step(x, eps, 2, self.sched, OnesRng(), variance_rule="beta")
-        tilde_out = ddpm_step(x, eps, 2, self.sched, OnesRng(), variance_rule="beta_tilde")
+        zeros, ones = np.zeros(2), np.ones(2)
+        base = _step(x, eps, zeros, self.sched, 2, 1, "ancestral", "beta")[1]
+        beta_out = _step(x, eps, ones, self.sched, 2, 1, "ancestral", "beta")[1]
+        tilde_out = _step(x, eps, ones, self.sched, 2, 1, "ancestral", "beta_tilde")[1]
         assert beta_out - base == pytest.approx(math.sqrt(0.2) * np.ones(2), rel=1e-12)
         sigma_tilde = math.sqrt(0.2 * (1 - 0.9) / (1 - 0.72))
         assert tilde_out - base == pytest.approx(sigma_tilde * np.ones(2), rel=1e-12)
@@ -91,14 +84,14 @@ class TestSteps:
     def test_ddim_is_deterministic(self):
         x = np.random.default_rng(1).normal(size=(4, 2))
         eps = np.random.default_rng(2).normal(size=(4, 2))
-        assert np.array_equal(ddim_step(x, eps, 3, self.sched),
-                              ddim_step(x, eps, 3, self.sched))
+        assert np.array_equal(_step(x, eps, None, self.sched, 3, 2, "deterministic")[1],
+                              _step(x, eps, None, self.sched, 3, 2, "deterministic")[1])
 
     def test_step_range_checked(self):
         with pytest.raises(ValueError):
-            ddpm_step(np.zeros(2), np.zeros(2), 0, self.sched, ZeroRng())
+            _step(np.zeros(2), np.zeros(2), np.zeros(2), self.sched, 0, -1, "ancestral")
         with pytest.raises(ValueError):
-            ddim_step(np.zeros(2), np.zeros(2), 4, self.sched)
+            _step(np.zeros(2), np.zeros(2), None, self.sched, 4, 3, "deterministic")
 
 
 class TestSamplerConfig:
@@ -112,7 +105,7 @@ class TestSamplerConfig:
         sched = build_linear(10, 0.01, 0.2)
         good = SamplerConfig(step_subset=(10, 7, 4, 1))
         assert good.steps_for(sched) == [10, 7, 4, 1]
-        for subset in [(9, 5, 1), (10, 5), (10, 5, 5, 1), (10, 4, 7, 1)]:
+        for subset in [(9, 5, 1), (10, 5), (10, 5, 5, 1), (10, 4, 7, 1), ()]:
             with pytest.raises(ValueError):
                 SamplerConfig(step_subset=subset).steps_for(sched)
 
@@ -157,7 +150,7 @@ class TestSample:
         out = x_common.copy()
         for t in range(100, 0, -1):
             eps = model.predict_epsilon(out, t, sched)
-            out = ddim_step(out, eps, t, sched)
+            out = _step(out, eps, None, sched, t, t - 1, "deterministic")[1]
         assert np.max(np.std(out, axis=0)) < 1e-12
 
     def test_trajectory_recording(self):

@@ -30,7 +30,7 @@ from .metrics import (
     gmm_nll,
     sweep_summary,
 )
-from .models import Gmm, GmmScoreModel, gmm_sample, mv_chain_models
+from .models import Gmm, GmmScoreModel, _json_int, _json_number, gmm_sample, mv_chain_models
 from .presets import resolve_gmm, resolve_pair, resolve_scene
 from .rng import _check_seed, generator
 from .sampler import SamplerConfig, sample
@@ -92,9 +92,10 @@ def _as_is(v, loc):
 
 
 def _as_int(v, loc):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{loc}: expected an integer")
-    return v
+    try:
+        return _json_int(v, loc)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _as_int_at_least(lo):
@@ -112,17 +113,10 @@ def _as_seed(v, loc):
 
 
 def _as_number(v, loc):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{loc}: expected a number")
     try:
-        v = float(v)
-    except OverflowError:
-        raise ConfigError(
-            f"{loc}: must be finite, got an integer too large for a float"
-        ) from None
-    if not math.isfinite(v):
-        raise ConfigError(f"{loc}: must be finite, got {v}")
-    return v
+        return _json_number(v, loc)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _as_bool(v, loc):
@@ -163,8 +157,6 @@ _SAMPLER_SCHEMA = {
 _COUPLING_SCHEMA = {
     "lambda": (False, _as_number),
     "guidance_scale_rule": (False, _as_is),
-    "noise_policy": (False, _as_is),
-    "lambda_ramp": (False, _as_list(_as_number)),
 }
 
 
@@ -186,8 +178,7 @@ def parse_sampler_cfg(doc, schedule: NoiseSchedule, loc="sampler") -> SamplerCon
     return cfg
 
 
-def parse_coupling_cfg(doc, schedule: NoiseSchedule, loc="coupling",
-                       allow_lambda=True) -> CouplingConfig:
+def parse_coupling_cfg(doc, loc="coupling", allow_lambda=True) -> CouplingConfig:
     schema = dict(_COUPLING_SCHEMA)
     if not allow_lambda:
         schema.pop("lambda")
@@ -195,14 +186,7 @@ def parse_coupling_cfg(doc, schedule: NoiseSchedule, loc="coupling",
     if "lambda" in fields:
         fields["lam"] = fields.pop("lambda")
     with _building(loc):
-        cfg = CouplingConfig(**fields)
-    ramp = cfg.lambda_ramp
-    if ramp is not None and len(ramp) != schedule.num_steps:
-        raise ConfigError(
-            f"{loc}.lambda_ramp: length must equal schedule.num_steps "
-            f"({schedule.num_steps}), got {len(ramp)}"
-        )
-    return cfg
+        return CouplingConfig(**fields)
 
 
 def _resolve_gmm_cfg(spec, loc) -> Gmm:
@@ -377,7 +361,7 @@ def _couple_reports(result, gmm_a, gmm_b, scene, reference, n, seed):
                 f"consistency-residual-{label}", _median_residual(scene, batch),
                 sample_count=n, seed=seed,
             ))
-    ref = (reference or {}).get("coupling_median_lambda0")
+    ref = reference.get("coupling_median_lambda0")
     if ref is not None:
         reports.append(MetricReport.thresholded(
             "coupling-median-vs-lambda0-reference", summary.median, float(ref), "le",
@@ -391,7 +375,7 @@ def cmd_couple(args) -> int:
     fields = _require(doc, "", _COUPLE_SCHEMA)
     sched = parse_schedule_cfg(fields["schedule"])
     sampler_cfg = parse_sampler_cfg(fields.get("sampler", {}), sched)
-    coupling_cfg = parse_coupling_cfg(fields.get("coupling", {}), sched)
+    coupling_cfg = parse_coupling_cfg(fields.get("coupling", {}))
     n, seed = fields["n"], fields["seed"]
     model_a, model_b, gmm_a, gmm_b, scene, reference = _resolve_couple_models(fields)
 
@@ -437,7 +421,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("lambda_grid: values must be strictly increasing")
     sched = parse_schedule_cfg(fields["schedule"])
     sampler_cfg = parse_sampler_cfg(fields.get("sampler", {}), sched)
-    base_coupling = parse_coupling_cfg(fields.get("coupling", {}), sched, allow_lambda=False)
+    base_coupling = parse_coupling_cfg(fields.get("coupling", {}), allow_lambda=False)
     couplings = []
     for i, lam in enumerate(grid):
         with _building(f"lambda_grid[{i}]"):

@@ -42,15 +42,12 @@ from .schedule import NoiseSchedule
 
 GUIDANCE_RULES = ("posterior_tilt", "alpha_bar_prev", "alpha_t")
 DEFAULT_GUIDANCE_RULE = "posterior_tilt"
-NOISE_POLICIES = ("independent", "shared")
 
 
 @dataclass(frozen=True)
 class CouplingConfig:
     lam: float = 1.0
     guidance_scale_rule: str = DEFAULT_GUIDANCE_RULE
-    noise_policy: str = "independent"
-    lambda_ramp: tuple | None = None
 
     def __post_init__(self):
         if not (self.lam >= 0.0 and math.isfinite(self.lam)):
@@ -60,20 +57,6 @@ class CouplingConfig:
                 f"guidance_scale_rule must be one of {GUIDANCE_RULES}, "
                 f"got {self.guidance_scale_rule!r}"
             )
-        if self.noise_policy not in NOISE_POLICIES:
-            raise ValueError(
-                f"noise_policy must be one of {NOISE_POLICIES}, got {self.noise_policy!r}"
-            )
-        if self.lambda_ramp is not None:
-            ramp = tuple(float(v) for v in self.lambda_ramp)
-            if any(v < 0.0 or not math.isfinite(v) for v in ramp):
-                raise ValueError("lambda_ramp entries must be finite and >= 0")
-            object.__setattr__(self, "lambda_ramp", ramp)
-
-    def lam_at(self, t: int) -> float:
-        if self.lambda_ramp is None:
-            return self.lam
-        return self.lam * self.lambda_ramp[t - 1]
 
 
 @dataclass(frozen=True)
@@ -142,14 +125,14 @@ def guidance_scale(schedule: NoiseSchedule, t: int, t_next: int, rule: str,
 def _guidance(coupling: CouplingConfig, schedule: NoiseSchedule, t: int, t_next: int,
               x0_a, x0_b):
     """Per-chain guidance increments for the jump t -> t_next, or None."""
-    lam_t = coupling.lam_at(t)
-    if lam_t == 0.0:
+    lam = coupling.lam
+    if lam == 0.0:
         return None
-    scale = guidance_scale(schedule, t, t_next, coupling.guidance_scale_rule, lam_t)
+    scale = guidance_scale(schedule, t, t_next, coupling.guidance_scale_rule, lam)
     if scale == 0.0:
         return None
-    return (scale * coupling_gradient(x0_a, x0_b, lam_t),
-            scale * coupling_gradient(x0_b, x0_a, lam_t))
+    return (scale * coupling_gradient(x0_a, x0_b, lam),
+            scale * coupling_gradient(x0_b, x0_a, lam))
 
 
 def coupled_sample(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSchedule,
@@ -159,21 +142,15 @@ def coupled_sample(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSche
 
     Both chains run sample()'s loop plus the guidance increments, so lam = 0
     is two sample() runs by construction. Chain noise comes from per-chain
-    streams seeded by derive_seed(seed, 0|1); under noise_policy "shared"
-    chain B reuses chain A's stream, which also makes the two
-    initializations identical.
+    streams seeded by derive_seed(seed, 0|1).
     """
     if model_a.dim != model_b.dim:
         raise ValueError("coupled chains must share a dimension")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if coupling.lambda_ramp is not None and len(coupling.lambda_ramp) != schedule.num_steps:
-        raise ValueError("lambda_ramp length must equal the schedule step count")
     steps = sampler_config.steps_for(schedule)
     seed_a = derive_seed(seed, CHAIN_A)
     seed_b = derive_seed(seed, CHAIN_B)
-    stream_a = NoiseStream(seed_a)
-    stream_b = stream_a if coupling.noise_policy == "shared" else NoiseStream(seed_b)
     series = np.empty(len(steps))
 
     def guide(i, t, t_next, x0s):
@@ -182,7 +159,7 @@ def coupled_sample(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSche
 
     models = (model_a, model_b)
     xs, trajectories = _run_chains(
-        models, (stream_a, stream_b), ("chain A", "chain B"),
+        models, (NoiseStream(seed_a), NoiseStream(seed_b)), ("chain A", "chain B"),
         schedule, steps, sampler_config, n, guide,
     )
     batch_a, batch_b = (

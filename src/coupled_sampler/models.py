@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .schedule import NoiseSchedule, alpha_bar_to_flow_time
+from .schedule import NoiseSchedule, _readonly, alpha_bar_to_flow_time
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _WEIGHT_TOL = 1e-12
@@ -38,10 +38,32 @@ _WEIGHT_TOL = 1e-12
 MV_JOINT_DIM_CAP = 32
 
 
-def _readonly(arr, dtype=np.float64) -> np.ndarray:
-    arr = np.ascontiguousarray(np.asarray(arr, dtype=dtype))
-    arr.setflags(write=False)
-    return arr
+def _json_number(v, what: str) -> float:
+    """A finite JSON number as a float; a bool, a string or any other value
+    is refused, never converted. Errors start with what."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{what}: expected a number, got {v!r}")
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ValueError(f"{what}: must be finite, got an integer too large for a float") from None
+    if not math.isfinite(v):
+        raise ValueError(f"{what}: must be finite, got {v}")
+    return v
+
+
+def _json_int(v, what: str) -> int:
+    """A JSON integer; a bool, a float or a string is refused."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{what}: expected an integer, got {v!r}")
+    return v
+
+
+def _json_array(v, what: str):
+    """Nested JSON lists whose leaves pass _json_number, as float lists."""
+    if isinstance(v, (list, tuple)):
+        return [_json_array(x, what) for x in v]
+    return _json_number(v, what)
 
 
 @dataclass(frozen=True)
@@ -106,7 +128,9 @@ class Gmm:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Gmm":
-        return cls.from_covariances(doc["weights"], doc["means"], doc["covariances"])
+        return cls.from_covariances(
+            *(_json_array(doc[key], key) for key in ("weights", "means", "covariances"))
+        )
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -462,10 +486,10 @@ class MvScene:
     @classmethod
     def from_dict(cls, doc: dict) -> "MvScene":
         return cls(
-            n_views=int(doc["n_views"]),
-            view_dim=int(doc["view_dim"]),
+            n_views=_json_int(doc["n_views"], "n_views"),
+            view_dim=_json_int(doc["view_dim"], "view_dim"),
             latent_gmm=Gmm.from_dict(doc["latent"]),
-            jitter=float(doc["jitter"]),
+            jitter=_json_number(doc["jitter"], "jitter"),
             edit_gmm=Gmm.from_dict(doc["edit"]),
         )
 

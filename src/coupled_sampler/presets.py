@@ -12,14 +12,10 @@ import os
 import re
 from pathlib import Path
 
-from .models import Gmm, MvScene
+from .models import Gmm, MvScene, _json_number
 
 PRESET_ENV = "COUPLED_SAMPLER_PRESETS"
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
-
-
-class PresetError(ValueError):
-    pass
 
 
 def preset_dir() -> Path:
@@ -38,13 +34,13 @@ def list_presets() -> list:
 
 def load_preset(name: str) -> dict:
     if not _NAME_RE.match(name):
-        raise PresetError(f"invalid preset name {name!r}")
+        raise ValueError(f"invalid preset name {name!r}")
     path = preset_dir() / f"{name}.json"
     if not path.is_file():
-        raise PresetError(f"unknown preset {name!r} (searched {path.parent})")
+        raise ValueError(f"unknown preset {name!r} (searched {path.parent})")
     doc = json.loads(path.read_text())
     if doc.get("kind") not in ("gmm", "pair", "scene"):
-        raise PresetError(f"preset {name!r} has unsupported kind {doc.get('kind')!r}")
+        raise ValueError(f"preset {name!r} has unsupported kind {doc.get('kind')!r}")
     return doc
 
 
@@ -57,11 +53,22 @@ def resolve_gmm(spec) -> Gmm:
     if isinstance(spec, str):
         doc = load_preset(spec)
         if doc["kind"] != "gmm":
-            raise PresetError(f"preset {spec!r} is a {doc['kind']}, expected a gmm")
+            raise ValueError(f"preset {spec!r} is a {doc['kind']}, expected a gmm")
         return Gmm.from_dict(doc)
     if isinstance(spec, dict):
         return Gmm.from_dict(spec)
-    raise PresetError("model must be a preset name or an inline mixture dict")
+    raise ValueError("model must be a preset name or an inline mixture dict")
+
+
+def _check_reference(reference) -> dict:
+    """A pair's reference: an object whose coupling_median_lambda0, if
+    present, is a finite JSON number."""
+    if not isinstance(reference, dict):
+        raise ValueError(f"reference: expected an object, got {reference!r}")
+    key = "coupling_median_lambda0"
+    if key in reference:
+        _json_number(reference[key], f"reference.{key}")
+    return reference
 
 
 def resolve_pair(spec) -> tuple:
@@ -69,15 +76,15 @@ def resolve_pair(spec) -> tuple:
     if isinstance(spec, str):
         doc = load_preset(spec)
         if doc["kind"] != "pair":
-            raise PresetError(f"preset {spec!r} is a {doc['kind']}, expected a pair")
+            raise ValueError(f"preset {spec!r} is a {doc['kind']}, expected a pair")
     elif isinstance(spec, dict):
         doc = spec
     else:
-        raise PresetError("pair must be a preset name or an inline dict")
+        raise ValueError("pair must be a preset name or an inline dict")
     return (
         Gmm.from_dict(doc["model_a"]),
         Gmm.from_dict(doc["model_b"]),
-        doc.get("reference", {}),
+        _check_reference(doc.get("reference", {})),
     )
 
 
@@ -85,8 +92,8 @@ def resolve_scene(spec) -> MvScene:
     if isinstance(spec, str):
         doc = load_preset(spec)
         if doc["kind"] != "scene":
-            raise PresetError(f"preset {spec!r} is a {doc['kind']}, expected a scene")
+            raise ValueError(f"preset {spec!r} is a {doc['kind']}, expected a scene")
         return MvScene.from_dict(doc)
     if isinstance(spec, dict):
         return MvScene.from_dict(spec)
-    raise PresetError("scene must be a preset name or an inline dict")
+    raise ValueError("scene must be a preset name or an inline dict")

@@ -155,12 +155,6 @@ def config_fingerprint(model: ScoreModel, schedule: NoiseSchedule,
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _draw(streams, shape, *labels) -> list:
-    """One block per distinct stream; chains sharing a stream share its block."""
-    blocks = {stream: stream.normal(shape, *labels) for stream in dict.fromkeys(streams)}
-    return [blocks[stream] for stream in streams]
-
-
 def _run_chains(models, streams, names, schedule: NoiseSchedule, steps,
                 config: SamplerConfig, n: int, guide=None):
     """The sampling loop: K chains of n points each, in lockstep from x_T ~ N(0, I).
@@ -172,7 +166,7 @@ def _run_chains(models, streams, names, schedule: NoiseSchedule, steps,
     Returns the final states and one Trajectory (or None) per chain.
     """
     d = models[0].dim
-    xs = _draw(streams, (n, d), STREAM_INIT)
+    xs = [stream.normal((n, d), STREAM_INIT) for stream in streams]
     records = [[] for _ in models]
     for i, t in enumerate(steps):
         eps = []
@@ -184,7 +178,7 @@ def _run_chains(models, streams, names, schedule: NoiseSchedule, steps,
         t_next = steps[i + 1] if i + 1 < len(steps) else 0
         zs = [None] * len(models)
         if config.kind == "ancestral" and t_next != 0:
-            zs = _draw(streams, (n, d), STREAM_STEP, t)
+            zs = [stream.normal((n, d), STREAM_STEP, t) for stream in streams]
         x0s, nxts = zip(*(
             _step(x, e, z, schedule, t, t_next, config.kind, config.variance_rule)
             for x, e, z in zip(xs, eps, zs)

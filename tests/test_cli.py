@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -8,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coupled_sampler import verify
+from coupled_sampler import cli, verify
 from coupled_sampler.cli import main
 from coupled_sampler.metrics import MetricReport
+from coupled_sampler.presets import load_preset
 from coupled_sampler.schedule import build_linear, schedule_to_json
 from coupled_sampler.verify import VerifyCheck
 
@@ -256,14 +258,36 @@ def _set_sampler(**sampler):
     return mutate
 
 
-def _set_ramp(length, sweep=False):
+def _set_coupling(sweep=False, **coupling):
     def mutate(doc):
         _twenty_steps(doc)
-        doc["coupling"] = {"lambda_ramp": [1.0] * length}
+        doc["coupling"] = coupling
         if sweep:
             doc["lambda_grid"] = [0.0, 1.0, 2.0]
-        else:
-            doc["coupling"]["lambda"] = 1.0
+    return mutate
+
+
+def _set_reference(reference):
+    def mutate(doc):
+        pair = load_preset("separated-pair")
+        pair["reference"] = reference
+        doc["pair"] = pair
+    return mutate
+
+
+def _set_scene(**fields):
+    def mutate(doc):
+        del doc["pair"]
+        doc["scene"] = dict(load_preset("mv-triangle"), **fields)
+    return mutate
+
+
+def _set_mixture(**fields):
+    def mutate(doc):
+        doc["model"] = dict(
+            {"weights": [1.0], "means": [[0.0, 0.0]], "covariances": [[[1.0, 0.0], [0.0, 1.0]]]},
+            **fields,
+        )
     return mutate
 
 
@@ -291,15 +315,37 @@ def _tiny_shift(doc):
 @pytest.mark.parametrize("command, mutate, key", [
     ("sample", _set_sampler(step_subset=[9, 5, 1]), "step_subset"),
     ("couple", _set_sampler(step_subset=[20, 20, 1]), "step_subset"),
-    ("couple", _set_ramp(2), "coupling.lambda_ramp"),
-    ("sweep", _set_ramp(1, sweep=True), "coupling.lambda_ramp"),
+    ("couple", _set_coupling(**{"lambda": 1.0, "lambda_ramp": [1.0] * 20}),
+     "coupling.lambda_ramp: unknown key"),
+    ("sweep", _set_coupling(sweep=True, noise_policy="shared"),
+     "coupling.noise_policy: unknown key"),
     ("sweep", _negative_grid, "lambda_grid"),
     ("sample", _seed_past_u64, "seed"),
     ("sample", _one_point, "n: must be >= 2"),
     ("sample", _noiseless_first_step, "schedule: alpha_bar must be strictly decreasing"),
     ("sample", _tiny_shift, "schedule.shift: every beta_t"),
-], ids=["subset_not_from_T", "subset_repeats", "ramp_couple", "ramp_sweep", "negative_grid",
-        "seed_past_u64", "sample_one_point", "noiseless_first_step", "shift_too_small"])
+    ("couple", _set_reference({"coupling_median_lambda0": float("inf")}),
+     "pair: reference.coupling_median_lambda0: must be finite"),
+    ("couple", _set_reference({"coupling_median_lambda0": float("nan")}),
+     "pair: reference.coupling_median_lambda0: must be finite"),
+    ("couple", _set_reference({"coupling_median_lambda0": True}),
+     "pair: reference.coupling_median_lambda0: expected a number"),
+    ("couple", _set_reference({"coupling_median_lambda0": "abc"}),
+     "pair: reference.coupling_median_lambda0: expected a number"),
+    ("couple", _set_reference([]), "pair: reference: expected an object"),
+    ("couple", _set_scene(view_dim=2.9), "scene: view_dim: expected an integer"),
+    ("couple", _set_scene(n_views=3.7), "scene: n_views: expected an integer"),
+    ("couple", _set_scene(n_views="3"), "scene: n_views: expected an integer"),
+    ("sample", _set_mixture(weights=[True]), "model: weights: expected a number"),
+    ("sample", _set_mixture(weights=["1.0"]), "model: weights: expected a number"),
+    ("sample", _set_mixture(covariances=[[[True, 0], [0, True]]]),
+     "model: covariances: expected a number"),
+], ids=["subset_not_from_T", "subset_repeats", "ramp_couple", "noise_policy_sweep",
+        "negative_grid", "seed_past_u64", "sample_one_point", "noiseless_first_step",
+        "shift_too_small", "reference_inf", "reference_nan", "reference_bool",
+        "reference_string", "reference_list", "scene_float_view_dim", "scene_float_n_views",
+        "scene_string_n_views", "mixture_bool_weight", "mixture_string_weight",
+        "mixture_bool_covariance"])
 def test_bad_value_rejected_before_output(tmp_path, capsys, command, mutate, key):
     doc = sample_config() if command == "sample" else couple_config()
     mutate(doc)
@@ -476,6 +522,51 @@ def test_preset_dir_env_override(tmp_path, monkeypatch, capsys):
     assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
     header = (out / "samples.csv").read_text().splitlines()[0]
     assert header == "chain_index,dim_0"
+
+
+def test_preset_file_reference_checked(tmp_path, monkeypatch, capsys):
+    pair = json.dumps(load_preset("separated-pair"))
+    pair = pair.replace("4.247629136971673", "1e999")  # json reads it as inf
+    (tmp_path / "bad-pair.json").write_text(pair)
+    monkeypatch.setenv("COUPLED_SAMPLER_PRESETS", str(tmp_path))
+    cfg = write_config(tmp_path, couple_config(pair="bad-pair"))
+    out = tmp_path / "out"
+    assert main(["couple", "--config", cfg, "--out", str(out)]) == 2
+    assert "pair: reference.coupling_median_lambda0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _readme_configs() -> dict:
+    """{file stem: (command, config)} for each config the README writes with
+    `cat > <stem>.json <<'EOF'` and then passes to `coupled-sampler <command>`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(
+        r"cat > (\w+)\.json <<'EOF'\n(.*?)\nEOF\ncoupled-sampler (\w+) --config \1\.json",
+        readme, re.S,
+    )
+    return {stem: (command, json.loads(body)) for stem, body, command in blocks}
+
+
+class _Reached(BaseException):
+    """Raised in place of the compute; main() lets BaseException through."""
+
+
+@pytest.mark.parametrize("stem", ["run", "couple", "sweep"])
+def test_readme_config_parses(tmp_path, monkeypatch, stem):
+    configs = _readme_configs()
+    assert sorted(configs) == ["couple", "run", "sweep"]
+    command, doc = configs[stem]
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, "sample", reached)
+    monkeypatch.setattr(cli, "coupled_sample", reached)
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    with pytest.raises(_Reached):
+        main([command, "--config", cfg, "--out", str(out)])
+    assert not out.exists()
 
 
 def test_cli_import_skips_scipy_spatial():

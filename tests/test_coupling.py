@@ -136,16 +136,6 @@ class TestCouplingConfig:
                 CouplingConfig(lam=lam)
         with pytest.raises(ValueError):
             CouplingConfig(guidance_scale_rule="none")
-        with pytest.raises(ValueError):
-            CouplingConfig(noise_policy="mixed")
-        with pytest.raises(ValueError):
-            CouplingConfig(lambda_ramp=(1.0, -1.0))
-
-    def test_ramp_scales_lambda(self):
-        cfg = CouplingConfig(lam=2.0, lambda_ramp=(1.0, 0.5, 0.0))
-        assert cfg.lam_at(1) == 2.0
-        assert cfg.lam_at(2) == 1.0
-        assert cfg.lam_at(3) == 0.0
 
 
 class TestGuidance:
@@ -155,11 +145,9 @@ class TestGuidance:
         x0_a, x0_b = rng.normal(size=(2, 8, 2))
         t = 20
         for rule in GUIDANCE_RULES:
-            for cpl in (CouplingConfig(lam=1.5, guidance_scale_rule=rule),
-                        CouplingConfig(lam=3.0, guidance_scale_rule=rule,
-                                       lambda_ramp=(0.5,) * 60)):
+            for lam in (1.5, 3.0):
+                cpl = CouplingConfig(lam=lam, guidance_scale_rule=rule)
                 inc_a, inc_b = _guidance(cpl, sched, t, t - 1, x0_a, x0_b)
-                lam = cpl.lam_at(t)
                 scale = guidance_scale(sched, t, t - 1, rule, lam)
                 assert scale > 0.0
                 assert inc_a == pytest.approx(-scale * lam * (x0_a - x0_b), rel=1e-12)
@@ -169,8 +157,6 @@ class TestGuidance:
         sched = short_schedule()
         x0_a, x0_b = np.ones((4, 2)), -np.ones((4, 2))
         assert _guidance(CouplingConfig(lam=0.0), sched, 20, 19, x0_a, x0_b) is None
-        ramp = (1.0,) * 19 + (0.0,) + (1.0,) * 40
-        assert _guidance(CouplingConfig(lambda_ramp=ramp), sched, 20, 19, x0_a, x0_b) is None
         for rule in GUIDANCE_RULES:
             cpl = CouplingConfig(lam=1.0, guidance_scale_rule=rule)
             assert _guidance(cpl, sched, 1, 0, x0_a, x0_b) is None
@@ -189,15 +175,6 @@ class TestCoupledSample:
     ], ids=["deterministic", "beta_tilde", "step_subset", "record_trajectory"])
     def test_lambda_zero_reduction_bitwise_variants(self, cfg):
         assert_lambda_zero_reduction(cfg)
-
-    def test_symmetric_fixed_point_shared_noise(self):
-        sched = short_schedule()
-        model = gaussian_model([1.0, -1.0])
-        cfg = SamplerConfig()
-        cpl = CouplingConfig(lam=3.0, noise_policy="shared")
-        run = coupled_sample(model, model, sched, cfg, cpl, seed=7, n=16)
-        assert np.array_equal(run.batch_a.samples, run.batch_b.samples)
-        assert np.max(run.coupling_series) == 0.0
 
     def test_coupling_tightens_standard_normal_pairs(self):
         sched = short_schedule()
@@ -237,13 +214,6 @@ class TestCoupledSample:
         with pytest.raises(ValueError, match="dimension"):
             coupled_sample(gaussian_model([0.0, 0.0]), gaussian_model([0.0, 0.0, 0.0]),
                            short_schedule(), SamplerConfig(), CouplingConfig(), 0, 4)
-
-    def test_ramp_length_validated(self):
-        sched = short_schedule()
-        model = gaussian_model([0.0, 0.0])
-        cpl = CouplingConfig(lam=1.0, lambda_ramp=(1.0,) * 10)
-        with pytest.raises(ValueError, match="ramp"):
-            coupled_sample(model, model, sched, SamplerConfig(), cpl, 0, 4)
 
     def test_chain_error_context(self):
         class Broken(GmmScoreModel):

@@ -12,13 +12,13 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .config import ConfigError, _as_is, _building, _json_int, _json_number, _require
 from .coupling import CouplingConfig, coupled_sample
 from .emit import curves_svg, scatter_svg, write_csv, write_json
 from .metrics import (
@@ -30,7 +30,7 @@ from .metrics import (
     gmm_nll,
     sweep_summary,
 )
-from .models import Gmm, GmmScoreModel, _json_int, _json_number, gmm_sample, mv_chain_models
+from .models import GmmScoreModel, gmm_sample, mv_chain_models
 from .presets import resolve_gmm, resolve_pair, resolve_scene
 from .rng import _check_seed, generator
 from .sampler import SamplerConfig, sample
@@ -51,72 +51,23 @@ _EXACT_CLOUD = 101
 _PERMUTATION = 102
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # config validation: the CLI checks JSON shape (keys, types, finiteness, the
 # n/seed bounds); the library constructors check values.
 
 
-def _require(doc: dict, path: str, allowed: dict) -> dict:
-    """Checked values of the keys present in doc."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path or 'config'}: expected an object")
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"{path + '.' if path else ''}{key}: unknown key")
-    out = {}
-    for key, (required, check) in allowed.items():
-        loc = f"{path + '.' if path else ''}{key}"
-        if key in doc:
-            out[key] = check(doc[key], loc)
-        elif required:
-            raise ConfigError(f"{loc}: missing required key")
-    return out
-
-
-@contextmanager
-def _building(loc):
-    """Re-raise a library constructor's ValueError as a config error at loc."""
-    try:
-        yield
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"{loc}: {exc}") from exc
-
-
-def _as_is(v, loc):
-    return v
-
-
-def _as_int(v, loc):
-    try:
-        return _json_int(v, loc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _as_int_at_least(lo):
     def check(v, loc):
-        if _as_int(v, loc) < lo:
+        if _json_int(v, loc) < lo:
             raise ConfigError(f"{loc}: must be >= {lo}, got {v}")
         return v
     return check
 
 
 def _as_seed(v, loc):
-    v = _as_int(v, loc)
+    v = _json_int(v, loc)
     with _building(loc):
         return _check_seed(v)
-
-
-def _as_number(v, loc):
-    try:
-        return _json_number(v, loc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _as_bool(v, loc):
@@ -125,10 +76,12 @@ def _as_bool(v, loc):
     return v
 
 
-def _as_model_spec(v, loc):
-    if not isinstance(v, (str, dict)):
-        raise ConfigError(f"{loc}: expected a preset name or inline object")
-    return v
+def _resolved(resolve):
+    """The check of a model key: resolve(preset name or inline object)."""
+    def check(v, loc):
+        with _building(loc):
+            return resolve(v)
+    return check
 
 
 def _as_list(item):
@@ -141,21 +94,21 @@ def _as_list(item):
 
 
 _SCHEDULE_SCHEMA = {
-    "num_steps": (True, _as_int),
-    "beta_start": (True, _as_number),
-    "beta_end": (True, _as_number),
-    "shift": (False, _as_number),
+    "num_steps": (True, _json_int),
+    "beta_start": (True, _json_number),
+    "beta_end": (True, _json_number),
+    "shift": (False, _json_number),
 }
 
 _SAMPLER_SCHEMA = {
     "kind": (False, _as_is),
     "variance_rule": (False, _as_is),
     "record_trajectory": (False, _as_bool),
-    "step_subset": (False, _as_list(_as_int)),
+    "step_subset": (False, _as_list(_json_int)),
 }
 
 _COUPLING_SCHEMA = {
-    "lambda": (False, _as_number),
+    "lambda": (False, _json_number),
     "guidance_scale_rule": (False, _as_is),
 }
 
@@ -189,13 +142,8 @@ def parse_coupling_cfg(doc, loc="coupling", allow_lambda=True) -> CouplingConfig
         return CouplingConfig(**fields)
 
 
-def _resolve_gmm_cfg(spec, loc) -> Gmm:
-    with _building(loc):
-        return resolve_gmm(spec)
-
-
 _SAMPLE_SCHEMA = {
-    "model": (True, _as_model_spec),
+    "model": (True, _resolved(resolve_gmm)),
     "schedule": (True, _as_is),
     "sampler": (False, _as_is),
     "n": (True, _as_int_at_least(2)),  # the energy test needs two points per cloud
@@ -204,10 +152,10 @@ _SAMPLE_SCHEMA = {
 }
 
 _COUPLE_SCHEMA = {
-    "model_a": (False, _as_model_spec),
-    "model_b": (False, _as_model_spec),
-    "pair": (False, _as_model_spec),
-    "scene": (False, _as_model_spec),
+    "model_a": (False, _resolved(resolve_gmm)),
+    "model_b": (False, _resolved(resolve_gmm)),
+    "pair": (False, _resolved(resolve_pair)),
+    "scene": (False, _resolved(resolve_scene)),
     "schedule": (True, _as_is),
     "sampler": (False, _as_is),
     "coupling": (False, _as_is),
@@ -217,7 +165,7 @@ _COUPLE_SCHEMA = {
 }
 
 _SWEEP_SCHEMA = dict(_COUPLE_SCHEMA)
-_SWEEP_SCHEMA["lambda_grid"] = (True, _as_list(_as_number))
+_SWEEP_SCHEMA["lambda_grid"] = (True, _as_list(_json_number))
 
 
 def _load_config(path: str, seed_override) -> dict:
@@ -245,18 +193,15 @@ def _resolve_couple_models(fields):
         raise ConfigError(
             "config: exactly one of pair, scene, or model_a/model_b is required"
         )
-    reference = {}
     if "scene" in fields:
+        scene = fields["scene"]
         with _building("scene"):
-            scene = resolve_scene(fields["scene"])
-        model_a, model_b = mv_chain_models(scene)
-        return model_a, model_b, None, model_b.gmm, scene, reference
+            model_a, model_b = mv_chain_models(scene)
+        return model_a, model_b, None, model_b.gmm, scene, {}
     if "pair" in fields:
-        with _building("pair"):
-            gmm_a, gmm_b, reference = resolve_pair(fields["pair"])
+        gmm_a, gmm_b, reference = fields["pair"]
     else:
-        gmm_a = _resolve_gmm_cfg(fields["model_a"], "model_a")
-        gmm_b = _resolve_gmm_cfg(fields["model_b"], "model_b")
+        gmm_a, gmm_b, reference = fields["model_a"], fields["model_b"], {}
     if gmm_a.dim != gmm_b.dim:
         raise ConfigError("model_b: coupled models must share a dimension")
     return GmmScoreModel(gmm_a), GmmScoreModel(gmm_b), gmm_a, gmm_b, None, reference
@@ -303,7 +248,7 @@ def _trajectory_csv(path, trajectory):
 def cmd_sample(args) -> int:
     doc = _load_config(args.config, args.seed)
     fields = _require(doc, "", _SAMPLE_SCHEMA)
-    gmm = _resolve_gmm_cfg(fields["model"], "model")
+    gmm = fields["model"]
     sched = parse_schedule_cfg(fields["schedule"])
     cfg = parse_sampler_cfg(fields.get("sampler", {}), sched)
     n, seed = fields["n"], fields["seed"]
@@ -488,34 +433,29 @@ def cmd_schedule(args) -> int:
         print(schedule_to_json(sched))
         return 0
     if args.schedule_cmd == "convert":
-        try:
+        with _building("--values"):
             values = [float(v) for v in args.values.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"--values: {exc}") from exc
-        if not values:
-            raise ConfigError("--values: need at least one number")
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"--values: must be finite, got {args.values}")
-        arr = np.asarray(values)
-        try:
+            if not values:
+                raise ValueError("need at least one number")
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"must be finite, got {args.values}")
+            arr = np.asarray(values)
             if args.source == "sigma":
                 out = {"sigma": values, "alpha_bar": list(edm_sigma_to_alpha_bar(arr))}
             elif args.source == "alpha-bar":
                 out = {"alpha_bar": values, "sigma": list(alpha_bar_to_edm_sigma(arr))}
             else:
                 out = {"flow_time": values, "alpha_bar": list(flow_time_to_alpha_bar(arr))}
-        except ValueError as exc:
-            raise ConfigError(f"--values: {exc}") from exc
         print(json.dumps(out, sort_keys=True))
         return 0
     # align
     def _load_sched(path, flag):
         try:
-            return schedule_from_json(Path(path).read_text())
+            text = Path(path).read_text()
         except FileNotFoundError as exc:
             raise ConfigError(f"{flag}: file not found: {path}") from exc
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"{flag}: {exc}") from exc
+        with _building(flag):  # json.JSONDecodeError is a ValueError
+            return schedule_from_json(text)
 
     source = _load_sched(args.source_file, "--source")
     target = _load_sched(args.target_file, "--target")

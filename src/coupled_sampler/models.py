@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
+from .config import _building, _json_array, _json_int, _json_number, _kind, _require
 from .schedule import NoiseSchedule, _readonly, alpha_bar_to_flow_time
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -36,34 +37,6 @@ _WEIGHT_TOL = 1e-12
 # Joint dimension cap for multi-view scenes expanded into one full-covariance
 # mixture; keeps Cholesky factors desk-sized.
 MV_JOINT_DIM_CAP = 32
-
-
-def _json_number(v, what: str) -> float:
-    """A finite JSON number as a float; a bool, a string or any other value
-    is refused, never converted. Errors start with what."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{what}: expected a number, got {v!r}")
-    try:
-        v = float(v)
-    except OverflowError:
-        raise ValueError(f"{what}: must be finite, got an integer too large for a float") from None
-    if not math.isfinite(v):
-        raise ValueError(f"{what}: must be finite, got {v}")
-    return v
-
-
-def _json_int(v, what: str) -> int:
-    """A JSON integer; a bool, a float or a string is refused."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"{what}: expected an integer, got {v!r}")
-    return v
-
-
-def _json_array(v, what: str):
-    """Nested JSON lists whose leaves pass _json_number, as float lists."""
-    if isinstance(v, (list, tuple)):
-        return [_json_array(x, what) for x in v]
-    return _json_number(v, what)
 
 
 @dataclass(frozen=True)
@@ -127,10 +100,19 @@ class Gmm:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Gmm":
-        return cls.from_covariances(
-            *(_json_array(doc[key], key) for key in ("weights", "means", "covariances"))
-        )
+    def from_dict(cls, doc, what: str = "") -> "Gmm":
+        """A mixture from its JSON object; error messages start with what."""
+        f = _require(doc, what, _GMM_KEYS)
+        with _building(what):
+            return cls.from_covariances(f["weights"], f["means"], f["covariances"])
+
+
+_GMM_KEYS = {
+    "kind": (False, _kind("gmm")),
+    "weights": (True, _json_array),
+    "means": (True, _json_array),
+    "covariances": (True, _json_array),
+}
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:
@@ -484,14 +466,20 @@ class MvScene:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "MvScene":
-        return cls(
-            n_views=_json_int(doc["n_views"], "n_views"),
-            view_dim=_json_int(doc["view_dim"], "view_dim"),
-            latent_gmm=Gmm.from_dict(doc["latent"]),
-            jitter=_json_number(doc["jitter"], "jitter"),
-            edit_gmm=Gmm.from_dict(doc["edit"]),
-        )
+    def from_dict(cls, doc) -> "MvScene":
+        f = _require(doc, "", _SCENE_KEYS)
+        return cls(n_views=f["n_views"], view_dim=f["view_dim"], latent_gmm=f["latent"],
+                   jitter=f["jitter"], edit_gmm=f["edit"])
+
+
+_SCENE_KEYS = {
+    "kind": (False, _kind("scene")),
+    "n_views": (True, _json_int),
+    "view_dim": (True, _json_int),
+    "jitter": (True, _json_number),
+    "latent": (True, Gmm.from_dict),
+    "edit": (True, Gmm.from_dict),
+}
 
 
 def mv_consistent_model(scene: MvScene) -> Gmm:

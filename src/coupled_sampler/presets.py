@@ -1,8 +1,10 @@
 """Named preset models and scenes shipped as JSON data files.
 
-A preset file carries a "kind" of gmm, pair, or scene. The directory can be
-overridden with the COUPLED_SAMPLER_PRESETS environment variable, which is
-how acceptance runs pin alternate inputs.
+A preset file holds the inline object of its kind (a mixture, pair or scene)
+plus "kind": "gmm", "pair" or "scene". Every object refuses unknown keys; a
+"kind" is optional in any object and, when present, must name the kind read.
+The directory can be overridden with the COUPLED_SAMPLER_PRESETS environment
+variable, which is how acceptance runs pin alternate inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import os
 import re
 from pathlib import Path
 
-from .models import Gmm, MvScene, _json_number
+from .config import _json_number, _kind, _require
+from .models import Gmm, MvScene
 
 PRESET_ENV = "COUPLED_SAMPLER_PRESETS"
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
@@ -32,68 +35,45 @@ def list_presets() -> list:
     return sorted(p.stem for p in root.glob("*.json"))
 
 
-def load_preset(name: str) -> dict:
+def load_preset(name: str):
+    """The parsed JSON of preset file name; the kind's reader checks it."""
     if not _NAME_RE.match(name):
         raise ValueError(f"invalid preset name {name!r}")
     path = preset_dir() / f"{name}.json"
     if not path.is_file():
         raise ValueError(f"unknown preset {name!r} (searched {path.parent})")
-    doc = json.loads(path.read_text())
-    if doc.get("kind") not in ("gmm", "pair", "scene"):
-        raise ValueError(f"preset {name!r} has unsupported kind {doc.get('kind')!r}")
-    return doc
+    return json.loads(path.read_text())
 
 
 def gmm_preset_names() -> list:
-    return [n for n in list_presets() if load_preset(n)["kind"] == "gmm"]
+    return [n for n in list_presets()
+            if isinstance(doc := load_preset(n), dict) and doc.get("kind") == "gmm"]
+
+
+def _doc(spec):
+    """The JSON of preset spec, or spec itself if it is not a preset name."""
+    return load_preset(spec) if isinstance(spec, str) else spec
 
 
 def resolve_gmm(spec) -> Gmm:
-    """A Gmm from a preset name or an inline dict."""
-    if isinstance(spec, str):
-        doc = load_preset(spec)
-        if doc["kind"] != "gmm":
-            raise ValueError(f"preset {spec!r} is a {doc['kind']}, expected a gmm")
-        return Gmm.from_dict(doc)
-    if isinstance(spec, dict):
-        return Gmm.from_dict(spec)
-    raise ValueError("model must be a preset name or an inline mixture dict")
+    """A Gmm from a preset name or an inline object."""
+    return Gmm.from_dict(_doc(spec))
 
 
-def _check_reference(reference) -> dict:
-    """A pair's reference: an object whose coupling_median_lambda0, if
-    present, is a finite JSON number."""
-    if not isinstance(reference, dict):
-        raise ValueError(f"reference: expected an object, got {reference!r}")
-    key = "coupling_median_lambda0"
-    if key in reference:
-        _json_number(reference[key], f"reference.{key}")
-    return reference
+_REFERENCE_KEYS = {"coupling_median_lambda0": (False, _json_number)}
+_PAIR_KEYS = {
+    "kind": (False, _kind("pair")),
+    "model_a": (True, Gmm.from_dict),
+    "model_b": (True, Gmm.from_dict),
+    "reference": (False, lambda v, loc: _require(v, loc, _REFERENCE_KEYS)),
+}
 
 
 def resolve_pair(spec) -> tuple:
-    """(gmm_a, gmm_b, reference_dict) from a pair preset name or dict."""
-    if isinstance(spec, str):
-        doc = load_preset(spec)
-        if doc["kind"] != "pair":
-            raise ValueError(f"preset {spec!r} is a {doc['kind']}, expected a pair")
-    elif isinstance(spec, dict):
-        doc = spec
-    else:
-        raise ValueError("pair must be a preset name or an inline dict")
-    return (
-        Gmm.from_dict(doc["model_a"]),
-        Gmm.from_dict(doc["model_b"]),
-        _check_reference(doc.get("reference", {})),
-    )
+    """(gmm_a, gmm_b, reference) from a pair preset name or inline object."""
+    f = _require(_doc(spec), "", _PAIR_KEYS)
+    return f["model_a"], f["model_b"], f.get("reference", {})
 
 
 def resolve_scene(spec) -> MvScene:
-    if isinstance(spec, str):
-        doc = load_preset(spec)
-        if doc["kind"] != "scene":
-            raise ValueError(f"preset {spec!r} is a {doc['kind']}, expected a scene")
-        return MvScene.from_dict(doc)
-    if isinstance(spec, dict):
-        return MvScene.from_dict(spec)
-    raise ValueError("scene must be a preset name or an inline dict")
+    return MvScene.from_dict(_doc(spec))

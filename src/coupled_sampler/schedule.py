@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _as_is, _json_array, _json_int, _require
+
 # Flow times below this are rejected: the velocity-to-score transform blows
 # up as alpha_bar -> 0, and no sampler step ever needs them.
 DEFAULT_FLOW_TIME_MIN = 1e-6
@@ -105,17 +107,24 @@ class NoiseSchedule:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "NoiseSchedule":
-        if not isinstance(doc, dict) or not isinstance(doc.get("beta"), list):
-            raise ValueError("expected an object with a beta list")
-        beta = doc["beta"]
-        if doc.get("num_steps") is not None and doc["num_steps"] != len(beta):
+    def from_json_dict(cls, doc) -> "NoiseSchedule":
+        """The inverse of to_json_dict: {"beta", "num_steps", "alpha_bar_sha256"},
+        the last two optional; an unknown key is refused."""
+        f = _require(doc, "", _JSON_KEYS)
+        sched = cls.from_betas(f["beta"])
+        if f.get("num_steps", sched.num_steps) != sched.num_steps:
             raise ValueError("num_steps does not match beta length")
-        sched = cls.from_betas(beta)
-        stored = doc.get("alpha_bar_sha256")
-        if stored is not None and stored != _alpha_bar_checksum(sched.alpha_bar):
+        checksum = _alpha_bar_checksum(sched.alpha_bar)
+        if f.get("alpha_bar_sha256", checksum) != checksum:
             raise ValueError("alpha_bar checksum mismatch on load")
         return sched
+
+
+_JSON_KEYS = {
+    "num_steps": (False, _json_int),
+    "beta": (True, _json_array),
+    "alpha_bar_sha256": (False, _as_is),
+}
 
 
 def _alpha_bar_checksum(alpha_bar: np.ndarray) -> str:

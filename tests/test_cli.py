@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coupled_sampler import cli, verify
+from coupled_sampler import cli, presets, verify
 from coupled_sampler.cli import main
 from coupled_sampler.metrics import MetricReport
-from coupled_sampler.presets import load_preset
+from coupled_sampler.presets import load_preset, resolve_gmm, resolve_pair, resolve_scene
 from coupled_sampler.schedule import build_linear, schedule_to_json
 from coupled_sampler.verify import VerifyCheck
 
@@ -267,12 +267,17 @@ def _set_coupling(sweep=False, **coupling):
     return mutate
 
 
-def _set_reference(reference):
+def _set_pair(*drop, **fields):
     def mutate(doc):
-        pair = load_preset("separated-pair")
-        pair["reference"] = reference
+        pair = dict(load_preset("separated-pair"), **fields)
+        for key in drop:
+            del pair[key]
         doc["pair"] = pair
     return mutate
+
+
+def _set_reference(reference):
+    return _set_pair(reference=reference)
 
 
 def _set_scene(**fields):
@@ -282,12 +287,12 @@ def _set_scene(**fields):
     return mutate
 
 
+_MIXTURE = {"weights": [1.0], "means": [[0.0, 0.0]], "covariances": [[[1.0, 0.0], [0.0, 1.0]]]}
+
+
 def _set_mixture(**fields):
     def mutate(doc):
-        doc["model"] = dict(
-            {"weights": [1.0], "means": [[0.0, 0.0]], "covariances": [[[1.0, 0.0], [0.0, 1.0]]]},
-            **fields,
-        )
+        doc["model"] = dict(_MIXTURE, **fields)
     return mutate
 
 
@@ -340,12 +345,27 @@ def _tiny_shift(doc):
     ("sample", _set_mixture(weights=["1.0"]), "model: weights: expected a number"),
     ("sample", _set_mixture(covariances=[[[True, 0], [0, True]]]),
      "model: covariances: expected a number"),
+    ("couple", _set_pair(model_a="bimodal-2d"), "pair: model_a: expected an object"),
+    ("couple", _set_scene(latent=[1, 2]), "scene: latent: expected an object"),
+    ("sample", _set_mixture(extra=1), "model: extra: unknown key"),
+    ("couple", _set_pair(referense={}), "pair: referense: unknown key"),
+    ("couple", _set_reference({"coupling_median": 1.0}),
+     "pair: reference.coupling_median: unknown key"),
+    ("couple", _set_scene(extra=1), "scene: extra: unknown key"),
+    ("couple", _set_pair("model_b"), "pair: model_b: missing required key"),
+    ("couple", _set_pair(model_b=dict(_MIXTURE, weights=["1.0"])),
+     "pair: model_b.weights: expected a number"),
+    ("couple", _set_scene(kind="gmm"), "scene: kind: expected 'scene', got 'gmm'"),
+    ("couple", _set_scene(n_views=20), "scene: joint dimension 40 exceeds cap"),
 ], ids=["subset_not_from_T", "subset_repeats", "ramp_couple", "noise_policy_sweep",
         "negative_grid", "seed_past_u64", "sample_one_point", "noiseless_first_step",
         "shift_too_small", "reference_inf", "reference_nan", "reference_bool",
         "reference_string", "reference_list", "scene_float_view_dim", "scene_float_n_views",
         "scene_string_n_views", "mixture_bool_weight", "mixture_string_weight",
-        "mixture_bool_covariance"])
+        "mixture_bool_covariance", "pair_model_a_string", "scene_latent_list",
+        "mixture_unknown_key", "pair_unknown_key", "reference_unknown_key",
+        "scene_unknown_key", "pair_missing_model_b", "pair_model_b_string_weight",
+        "scene_wrong_kind", "scene_over_joint_cap"])
 def test_bad_value_rejected_before_output(tmp_path, capsys, command, mutate, key):
     doc = sample_config() if command == "sample" else couple_config()
     mutate(doc)
@@ -430,10 +450,14 @@ class TestScheduleCommand:
         assert all(b >= a for a, b in zip(targets, targets[1:]))
 
     @pytest.mark.parametrize("flag", ["--source", "--target"])
-    @pytest.mark.parametrize("text", [
-        '[0.1, 0.2]', '{"beta": [0.1, 0.2], "num_steps": [2]}', '{"beta": [0.1, {}]}',
-    ], ids=["array", "num_steps_list", "beta_holds_object"])
-    def test_align_rejects_malformed_schedule(self, tmp_path, capsys, flag, text):
+    @pytest.mark.parametrize("text, key", [
+        ('[0.1, 0.2]', "expected an object"),
+        ('{"beta": [0.1, 0.2], "num_steps": [2]}', "num_steps: expected an integer"),
+        ('{"beta": [0.1, {}]}', "beta: expected a number"),
+        ('{"beta": [0.1, 0.2], "steps": 2}', "steps: unknown key"),
+        ('{"beta": [0.1], "num_steps": true}', "num_steps: expected an integer"),
+    ], ids=["array", "num_steps_list", "beta_holds_object", "unknown_key", "num_steps_bool"])
+    def test_align_rejects_malformed_schedule(self, tmp_path, capsys, flag, text, key):
         good = tmp_path / "good.json"
         good.write_text(schedule_to_json(build_linear(5, 0.1, 0.2)))
         bad = tmp_path / "bad.json"
@@ -441,7 +465,7 @@ class TestScheduleCommand:
         files = {"--source": good, "--target": good, flag: bad}
         assert main(["schedule", "align", "--source", str(files["--source"]),
                      "--target", str(files["--target"])]) == 2
-        assert flag in capsys.readouterr().err
+        assert f"{flag}: {key}" in capsys.readouterr().err
 
     def test_align_missing_file(self, tmp_path):
         src = tmp_path / "src.json"
@@ -534,6 +558,35 @@ def test_preset_file_reference_checked(tmp_path, monkeypatch, capsys):
     assert main(["couple", "--config", cfg, "--out", str(out)]) == 2
     assert "pair: reference.coupling_median_lambda0" in capsys.readouterr().err
     assert not out.exists()
+
+
+_SHIPPED_PRESETS = Path(presets.__file__).parent / "presets"
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[1, 2]", "model: expected an object"),
+    (json.dumps(dict(_MIXTURE, kind="gmm", extra=1)), "model: extra: unknown key"),
+    ((_SHIPPED_PRESETS / "separated-pair.json").read_text(),
+     "model: kind: expected 'gmm', got 'pair'"),
+], ids=["array", "unknown_key", "wrong_kind"])
+def test_malformed_preset_file_rejected(tmp_path, monkeypatch, capsys, text, key):
+    (tmp_path / "bad.json").write_text(text)
+    monkeypatch.setenv("COUPLED_SAMPLER_PRESETS", str(tmp_path))
+    cfg = write_config(tmp_path, sample_config(model="bad"))
+    out = tmp_path / "out"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+_PRESET_FILES = sorted(_SHIPPED_PRESETS.glob("*.json"))
+
+
+@pytest.mark.parametrize("path", _PRESET_FILES, ids=[p.stem for p in _PRESET_FILES])
+def test_shipped_preset_reads_as_its_kind(path):
+    doc = json.loads(path.read_text())
+    resolve = {"gmm": resolve_gmm, "pair": resolve_pair, "scene": resolve_scene}[doc["kind"]]
+    resolve(doc)
 
 
 def _readme_configs() -> dict:

@@ -423,10 +423,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_schedule(args) -> int:
     if args.schedule_cmd == "build":
-        try:
+        # past a valid step count, every failure is the betas'
+        with _building("--num-steps" if args.num_steps < 1 else "--beta-start/--beta-end"):
             sched = build_linear(args.num_steps, args.beta_start, args.beta_end)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if args.shift is not None:
             with _building("--shift"):
                 sched = shift_schedule(sched, args.shift)

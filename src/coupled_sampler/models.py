@@ -12,10 +12,15 @@ These models serve as ground truth for the samplers and metrics.
 
 Covariances are held as lower-triangular Cholesky factors; densities and
 scores go through triangular solves, never explicit inverses. Mixture
-responsibilities are formed in log space. The noised means, factors, log
-weights and log-determinants of one noise level form a table; GmmScoreModel
-caches one table per alpha_bar it has seen, so the reverse steps of every run
-on one model instance share them.
+responsibilities are formed in log space. The K per-component terms of m
+points are held component-major, (K, m), so every array op runs on a
+contiguous row of length m, not on m rows of length K. Each sum over the
+components adds in the order numpy takes on the point-major (m, K) layout:
+np.sum's pairwise row sum in the logsumexp, einsum's sequence in the mix.
+The bits therefore equal scipy's logsumexp kernel on that layout. The noised
+means, factors, log weights and log-determinants of one noise level form a
+table; GmmScoreModel caches one table per alpha_bar it has seen, so the
+reverse steps of every run on one model instance share them.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ class Gmm:
         k, d = mu.shape
         if w.shape != (k,) or L.shape != (k, d, d):
             raise ValueError("component count / dimension mismatch")
+        if d < 1:
+            raise ValueError("means need at least one dimension")
         for name, arr in (("weights", w), ("means", mu), ("chol_factors", L)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
@@ -164,32 +171,50 @@ def _solve_upper(upper, b, trans: int) -> np.ndarray:
     return out
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) of an (m, K) array.
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """rows.sum(axis=0) of a (K, m) array, in the order np.sum(a, axis=1)
+    takes on the C-ordered (m, K) transpose a: numpy's pairwise sum, which
+    adds in sequence below 8 terms, through eight accumulators up to 128 and
+    splits in two above that. An axis-0 sum adds in sequence at every K."""
+    k = rows.shape[0]
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _row_sum(rows[:half]) + _row_sum(rows[half:])
+    if k < 8:
+        acc, tail = rows[0].copy(), 1
+    else:
+        r = rows[:8].copy()
+        tail = k - k % 8
+        for i in range(8, tail, 8):
+            r += rows[i:i + 8]
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in rows[tail:]:
+        acc += row
+    return acc
 
-    Term for term the formula of scipy.special.logsumexp (scipy 1.17), so the
-    bits match it: the maxima of a row are pulled out of the sum, which is
-    log1p(s) + log(m) + max with m the count of maxima and s the sum of the
-    other shifted exponentials over m. Rows where that is not finite (all
-    terms -inf) fall back to the direct log(sum(exp(a))).
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=0)) of a (K, m) array, one result per column.
+
+    Term for term the formula of scipy.special.logsumexp (scipy 1.17) over
+    the rows of the (m, K) transpose, so the bits match it: the maxima of a
+    column are pulled out of the sum, which is log1p(s) + log(m) + max with m
+    the count of maxima and s the sum of the other shifted exponentials over
+    m. s is summed in numpy's row order (_row_sum). Columns where that is
+    not finite (all terms -inf) fall back to the direct log(sum(exp(a))).
     """
-    k = a.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Max and count column by column: both are exact in any order, and
-        # numpy's reductions along a short row axis are slow.
-        a_max = a[:, :1]
-        for j in range(1, k):
-            a_max = np.maximum(a_max, a[:, j:j + 1])
+        a_max = a.max(axis=0)  # max and count are exact in any order
         is_max = a == a_max
-        m = is_max[:, :1].astype(np.float64)
-        for j in range(1, k):
-            m += is_max[:, j:j + 1]
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
+        m = is_max.sum(axis=0, dtype=np.float64)
+        shifted = np.exp(a - a_max)
+        shifted *= ~is_max  # the maxima drop out of s
+        s = _row_sum(shifted)
         s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+        out = np.log1p(s) + np.log(m) + a_max
         bad = ~np.isfinite(out)
         if bad.any():
-            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+            out[bad] = np.log(_row_sum(np.exp(a[:, bad])))
     return out
 
 
@@ -197,7 +222,7 @@ def _component_terms(x, level: _Level, whiten: bool):
     """Per-component log(w_j N(x; mu_j, Sigma_j)) and Sigma_j^-1 (x - mu_j).
 
     x may carry arbitrary leading batch axes; the last axis is the event
-    dimension. Returns (batch shape, (m, K) log terms, K whitened differences
+    dimension. Returns (batch shape, (K, m) log terms, K whitened differences
     of shape (d, m)); the whitened list is None unless whiten is set, so
     density-only calls skip the back-solve.
     """
@@ -206,31 +231,58 @@ def _component_terms(x, level: _Level, whiten: bool):
     if x.shape[-1] != d:
         raise ValueError(f"points have dimension {x.shape[-1]}, model has {d}")
     batch = x.shape[:-1]
-    flat = x.reshape(-1, d)
+    flat = x.reshape(-1)
     if not np.isfinite(flat).all():
         raise ValueError("points must not contain infs or NaNs")
+    m = flat.size // d
 
-    log_comp = np.empty((flat.shape[0], k))
+    log_comp = np.empty((k, m))
     whitened = [] if whiten else None
     for j in range(k):
         upper = level.uppers[j]
-        y = _solve_upper(upper, (flat - level.means[j]).T, trans=1)  # L^-1 (x - mu), (d, m)
-        maha = np.einsum("im,im->m", y, y)
-        log_comp[:, j] = level.log_w[j] - 0.5 * maha - level.log_dets[j] - 0.5 * d * _LOG_2PI
+        # x - mu as one flat op against the tiled mean; .T is (d, m), Fortran-ordered
+        diff = (flat - np.tile(level.means[j], m)).reshape(m, d).T
+        y = _solve_upper(upper, diff, trans=1)  # L^-1 (x - mu)
+        if d <= 2:  # the order of the einsum below, which changes from d = 3 on
+            maha = y[0] * y[0]
+            for row in y[1:]:
+                maha += row * row
+        else:
+            maha = np.einsum("im,im->m", y, y)
+        log_comp[j] = level.log_w[j] - 0.5 * maha - level.log_dets[j] - 0.5 * d * _LOG_2PI
         if whiten:
             whitened.append(_solve_upper(upper, y, trans=0))
     return batch, log_comp, whitened
 
 
+def _mix(resp: np.ndarray, parts) -> np.ndarray:
+    """sum_j resp[j] parts[j] of (K, m) weights and K (m, d) arrays, bit for
+    bit np.einsum("mk,mkd->md") on the (m, K) and stacked (m, K, d) arrays.
+
+    From d = 2 on einsum adds 0 + r_0 z_0 + r_1 z_1 + ... in sequence, done
+    here column by column on length-m rows. At d = 1 it takes a SIMD order,
+    so that case still calls it. The result is C-ordered (m, d): reductions
+    over its last axis pick their order from the layout.
+    """
+    m, d = parts[0].shape
+    if d == 1:
+        return np.einsum("mk,mkd->md", np.ascontiguousarray(resp.T), np.stack(parts, axis=1))
+    out = np.zeros((m, d))
+    for r, z in zip(resp, parts):
+        for c in range(d):
+            out[:, c] += r * z[:, c]
+    return out
+
+
 def _mixture_eval(x, level: _Level, want_score: bool):
     """Log density (and optionally score) of a Gaussian mixture at x."""
     batch, log_comp, whitened = _component_terms(x, level, want_score)
-    log_p = _logsumexp_rows(log_comp)
+    log_p = _logsumexp(log_comp)
     if not want_score:
         return log_p.reshape(batch)
-    resp = np.exp(log_comp - log_p[:, None])
-    zs = np.stack([u.T for u in whitened], axis=1)  # (m, K, d)
-    score = -np.einsum("mk,mkd->md", resp, zs)
+    resp = np.exp(log_comp - log_p)
+    score = _mix(resp, [u.T for u in whitened])
+    np.negative(score, out=score)
     return log_p.reshape(batch), score.reshape(batch + (level.means.shape[1],))
 
 
@@ -365,13 +417,12 @@ def velocity_from_gmm(g: Gmm, x, t_flow: float):
     # whitened[j] = C_j^-1 (x - t mu_j), (d, m)
     batch, log_comp, whitened = _component_terms(x, _flow_level(g, t_flow), whiten=True)
     sigmas = g.covariances()
-    comp_v = np.stack([
+    comp_v = [
         (g.means[j] + (t_flow * sigmas[j] @ u).T) - (1.0 - t_flow) * u.T  # E[x_0] - E[eps]
         for j, u in enumerate(whitened)
-    ], axis=1)  # (m, K, d)
-    resp = np.exp(log_comp - _logsumexp_rows(log_comp)[:, None])
-    v = np.einsum("mk,mkd->md", resp, comp_v)
-    return v.reshape(batch + (g.dim,))
+    ]  # K arrays (m, d)
+    resp = np.exp(log_comp - _logsumexp(log_comp))
+    return _mix(resp, comp_v).reshape(batch + (g.dim,))
 
 
 def score_from_velocity(v, x, t_flow: float):
@@ -449,12 +500,14 @@ class MvScene:
     edit_gmm: Gmm
 
     def __post_init__(self):
+        # Messages start with the scene key at fault.
         if self.n_views < 2:
-            raise ValueError("need at least two views")
+            raise ValueError(f"n_views: need at least two views, got {self.n_views}")
         if not self.jitter > 0.0:
-            raise ValueError("jitter must be positive")
-        if self.latent_gmm.dim != self.view_dim or self.edit_gmm.dim != self.view_dim:
-            raise ValueError("latent and edit mixtures must live in view_dim")
+            raise ValueError(f"jitter: must be positive, got {self.jitter}")
+        for key, g in (("latent", self.latent_gmm), ("edit", self.edit_gmm)):
+            if g.dim != self.view_dim:
+                raise ValueError(f"{key}: dimension {g.dim} differs from view_dim {self.view_dim}")
 
     def to_dict(self) -> dict:
         return {
@@ -490,7 +543,7 @@ def mv_consistent_model(scene: MvScene) -> Gmm:
     """
     n, d = scene.n_views, scene.view_dim
     if n * d > MV_JOINT_DIM_CAP:
-        raise ValueError(f"joint dimension {n * d} exceeds cap {MV_JOINT_DIM_CAP}")
+        raise ValueError(f"n_views: joint dimension {n * d} exceeds cap {MV_JOINT_DIM_CAP}")
     lat = scene.latent_gmm
     covs = lat.covariances()
     eye = scene.jitter**2 * np.eye(n * d)

@@ -14,7 +14,7 @@ import os
 import re
 from pathlib import Path
 
-from .config import _json_number, _kind, _require
+from .config import ConfigError, _json_number, _kind, _require
 from .models import Gmm, MvScene
 
 PRESET_ENV = "COUPLED_SAMPLER_PRESETS"
@@ -46,8 +46,16 @@ def load_preset(name: str):
 
 
 def gmm_preset_names() -> list:
-    return [n for n in list_presets()
-            if isinstance(doc := load_preset(n), dict) and doc.get("kind") == "gmm"]
+    """The presets of kind "gmm"; a preset file that is not a JSON object is
+    an error naming the file, never skipped."""
+    names = []
+    for n in list_presets():
+        doc = load_preset(n)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{preset_dir() / n}.json: expected an object, got {doc!r}")
+        if doc.get("kind") == "gmm":
+            names.append(n)
+    return names
 
 
 def _doc(spec):

@@ -11,6 +11,7 @@ import pytest
 
 from coupled_sampler import cli, presets, verify
 from coupled_sampler.cli import main
+from coupled_sampler.config import ConfigError
 from coupled_sampler.metrics import MetricReport
 from coupled_sampler.presets import load_preset, resolve_gmm, resolve_pair, resolve_scene
 from coupled_sampler.schedule import build_linear, schedule_to_json
@@ -356,7 +357,10 @@ def _tiny_shift(doc):
     ("couple", _set_pair(model_b=dict(_MIXTURE, weights=["1.0"])),
      "pair: model_b.weights: expected a number"),
     ("couple", _set_scene(kind="gmm"), "scene: kind: expected 'scene', got 'gmm'"),
-    ("couple", _set_scene(n_views=20), "scene: joint dimension 40 exceeds cap"),
+    ("couple", _set_scene(n_views=20), "scene: n_views: joint dimension 40 exceeds cap 32"),
+    ("couple", _set_scene(n_views=1), "scene: n_views: need at least two views, got 1"),
+    ("couple", _set_scene(jitter=0), "scene: jitter: must be positive, got 0"),
+    ("couple", _set_scene(view_dim=3), "scene: latent: dimension 2 differs from view_dim 3"),
 ], ids=["subset_not_from_T", "subset_repeats", "ramp_couple", "noise_policy_sweep",
         "negative_grid", "seed_past_u64", "sample_one_point", "noiseless_first_step",
         "shift_too_small", "reference_inf", "reference_nan", "reference_bool",
@@ -365,7 +369,8 @@ def _tiny_shift(doc):
         "mixture_bool_covariance", "pair_model_a_string", "scene_latent_list",
         "mixture_unknown_key", "pair_unknown_key", "reference_unknown_key",
         "scene_unknown_key", "pair_missing_model_b", "pair_model_b_string_weight",
-        "scene_wrong_kind", "scene_over_joint_cap"])
+        "scene_wrong_kind", "scene_over_joint_cap", "scene_one_view", "scene_zero_jitter",
+        "scene_view_dim_mismatch"])
 def test_bad_value_rejected_before_output(tmp_path, capsys, command, mutate, key):
     doc = sample_config() if command == "sample" else couple_config()
     mutate(doc)
@@ -403,6 +408,19 @@ class TestScheduleCommand:
                      "--beta-end", "0.2", "--shift", "1e-9"]) == 2
         captured = capsys.readouterr()
         assert "--shift" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("flags, flag, msg", [
+        (["--num-steps", "0", "--beta-start", "0.1", "--beta-end", "0.2"],
+         "--num-steps", "num_steps must be >= 1"),
+        (["--num-steps", "3", "--beta-start", "0.3", "--beta-end", "0.2"],
+         "--beta-start/--beta-end", "need 0 < beta_start <= beta_end < 1"),
+        (["--num-steps", "20", "--beta-start", "1e-17", "--beta-end", "0.3"],
+         "--beta-start/--beta-end", "alpha_bar must be strictly decreasing"),
+    ], ids=["zero_steps", "start_above_end", "noiseless_first_step"])
+    def test_build_error_names_flag(self, capsys, flags, flag, msg):
+        assert main(["schedule", "build", *flags]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {flag}: {msg}" in captured.err and captured.out == ""
 
     def test_convert_sigma(self, capsys):
         assert main(["schedule", "convert", "--source", "sigma",
@@ -577,6 +595,17 @@ def test_malformed_preset_file_rejected(tmp_path, monkeypatch, capsys, text, key
     assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3.5", "null"], ids=["array", "number", "null"])
+def test_gmm_preset_names_rejects_non_object_file(tmp_path, monkeypatch, text):
+    (tmp_path / "ok.json").write_text(json.dumps(dict(_MIXTURE, kind="gmm")))
+    (tmp_path / "bad.json").write_text(text)
+    monkeypatch.setenv("COUPLED_SAMPLER_PRESETS", str(tmp_path))
+    with pytest.raises(ConfigError, match=re.escape(f"{tmp_path / 'bad.json'}: expected an object")):
+        presets.gmm_preset_names()
+    (tmp_path / "bad.json").unlink()
+    assert presets.gmm_preset_names() == ["ok"]
 
 
 _PRESET_FILES = sorted(_SHIPPED_PRESETS.glob("*.json"))

@@ -15,6 +15,7 @@ from coupled_sampler.models import (
     MvScene,
     VelocityModel,
     VelocityWrappedScoreModel,
+    _row_sum,
     gmm_epsilon,
     gmm_flow_log_density,
     gmm_noised_log_density,
@@ -53,6 +54,10 @@ class TestGmmConstruction:
             Gmm.from_covariances([0.6, 0.6], np.zeros((2, 2)), [np.eye(2)] * 2)
         with pytest.raises(ValueError, match="weights"):
             Gmm.from_covariances([1.5, -0.5], np.zeros((2, 2)), [np.eye(2)] * 2)
+
+    def test_rejects_zero_dimension(self):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            Gmm.from_covariances([1.0], np.zeros((1, 0)), np.zeros((1, 0, 0)))
 
     @pytest.mark.parametrize("weights, mean, cov, field", [
         ([math.nan, 1.0], [0.0, 0.0], np.eye(2), "weights"),
@@ -551,11 +556,18 @@ def oracle_points(rng, d, case):
 ORACLE_CASES = ["plain", "zero_weight", "tied", "far"]
 
 
+def test_row_sum_takes_numpy_row_order():
+    # every branch of the pairwise order: in sequence, eight accumulators, splits
+    for k in range(1, 300):
+        a = np.exp(np.random.default_rng(k).normal(scale=3.0, size=(37, k)))
+        np.testing.assert_array_equal(_row_sum(np.ascontiguousarray(a.T)), a.sum(axis=1))
+
+
 class TestScipyOracle:
     """Mixture outputs equal the scipy reference kernel bit for bit."""
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
-    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3, 9, 130])
     @pytest.mark.parametrize("d", [1, 2, 4, 6])
     def test_noised_level(self, d, k, case):
         rng = np.random.default_rng(100 * d + k)
@@ -571,7 +583,7 @@ class TestScipyOracle:
                                           scipy_noised(g, x, 1.0)[0])
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
-    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3, 9, 130])
     @pytest.mark.parametrize("d", [1, 2, 4, 6])
     def test_flow(self, d, k, case):
         rng = np.random.default_rng(100 * d + k + 7)

@@ -6,6 +6,7 @@ from .coupling import (
     CoupledRunResult,
     CouplingConfig,
     coupled_sample,
+    coupled_sweep,
     coupling_energy,
     coupling_gradient,
     mutual_tilt_fixed_point,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, _as_is, _building, _json_int, _json_number, _require
-from .coupling import CouplingConfig, coupled_sample
+from .coupling import CouplingConfig, coupled_sample, coupled_sweep
 from .emit import curves_svg, scatter_svg, write_csv, write_json
 from .metrics import (
     MetricReport,
@@ -123,8 +123,11 @@ def parse_schedule_cfg(doc, loc="schedule") -> NoiseSchedule:
     return sched
 
 
-def parse_sampler_cfg(doc, schedule: NoiseSchedule, loc="sampler") -> SamplerConfig:
+def parse_sampler_cfg(doc, schedule: NoiseSchedule, loc="sampler",
+                      allow_trajectory=True) -> SamplerConfig:
     fields = _require(doc, loc, _SAMPLER_SCHEMA)
+    if fields.get("record_trajectory") and not allow_trajectory:
+        raise ConfigError(f"{loc}.record_trajectory: only sample writes a trajectory")
     with _building(loc):
         cfg = SamplerConfig(**fields)
         cfg.steps_for(schedule)
@@ -319,7 +322,7 @@ def cmd_couple(args) -> int:
     doc = _load_config(args.config, args.seed)
     fields = _require(doc, "", _COUPLE_SCHEMA)
     sched = parse_schedule_cfg(fields["schedule"])
-    sampler_cfg = parse_sampler_cfg(fields.get("sampler", {}), sched)
+    sampler_cfg = parse_sampler_cfg(fields.get("sampler", {}), sched, allow_trajectory=False)
     coupling_cfg = parse_coupling_cfg(fields.get("coupling", {}))
     n, seed = fields["n"], fields["seed"]
     model_a, model_b, gmm_a, gmm_b, scene, reference = _resolve_couple_models(fields)
@@ -365,7 +368,7 @@ def cmd_sweep(args) -> int:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("lambda_grid: values must be strictly increasing")
     sched = parse_schedule_cfg(fields["schedule"])
-    sampler_cfg = parse_sampler_cfg(fields.get("sampler", {}), sched)
+    sampler_cfg = parse_sampler_cfg(fields.get("sampler", {}), sched, allow_trajectory=False)
     base_coupling = parse_coupling_cfg(fields.get("coupling", {}), allow_lambda=False)
     couplings = []
     for i, lam in enumerate(grid):
@@ -375,8 +378,8 @@ def cmd_sweep(args) -> int:
     model_a, model_b, gmm_a, gmm_b, scene, _ = _resolve_couple_models(fields)
 
     points = []
-    for cpl in couplings:
-        result = coupled_sample(model_a, model_b, sched, sampler_cfg, cpl, seed, n)
+    results = coupled_sweep(model_a, model_b, sched, sampler_cfg, couplings, seed, n)
+    for cpl, result in zip(couplings, results):
         if scene is None:
             nll_a, residual_b = gmm_nll(gmm_a, result.batch_a), None
         else:

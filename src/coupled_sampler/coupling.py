@@ -15,6 +15,11 @@ ablation. With lam = 0 the guidance branch is skipped entirely and a
 coupled run is bit-for-bit two independent runs under the derived per-chain
 seeds.
 
+A sweep over lambda is one coupled run (coupled_sweep): each chain holds
+one copy of its points per lambda, draws x_T and each step's noise once for
+all of them, and steps them in bounded chunks of whole copies. Copy l is bit
+for bit the single-lambda run, which is the one-element case.
+
 A score-averaging single-chain baseline and a multi-view editing demo
 (independent per-view edit chain coupled to a shared-latent consistent
 chain) are provided for comparison studies.
@@ -135,15 +140,18 @@ def _guidance(coupling: CouplingConfig, schedule: NoiseSchedule, t: int, t_next:
             scale * coupling_gradient(x0_b, x0_a, lam))
 
 
-def coupled_sample(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSchedule,
-                   sampler_config: SamplerConfig, coupling: CouplingConfig,
-                   seed: int, n: int) -> CoupledRunResult:
-    """Run n coupled chain pairs from independent x_T ~ N(0, I).
+def coupled_sweep(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSchedule,
+                  sampler_config: SamplerConfig, couplings, seed: int, n: int) -> list:
+    """Run n coupled chain pairs under each coupling, as one run; one result each.
 
-    Both chains run sample()'s loop plus the guidance increments, so lam = 0
-    is two sample() runs by construction. Chain noise comes from per-chain
-    streams seeded by derive_seed(seed, 0|1).
+    Each chain holds one copy of its n points per coupling. Chain noise comes
+    from per-chain streams seeded by derive_seed(seed, 0|1); x_T and each
+    step's noise are drawn once per chain and serve every copy, so result l
+    is bit for bit coupled_sample(..., couplings[l], seed, n).
     """
+    couplings = tuple(couplings)
+    if not couplings:
+        raise ValueError("need at least one coupling")
     if model_a.dim != model_b.dim:
         raise ValueError("coupled chains must share a dimension")
     if n < 1:
@@ -151,24 +159,40 @@ def coupled_sample(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSche
     steps = sampler_config.steps_for(schedule)
     seed_a = derive_seed(seed, CHAIN_A)
     seed_b = derive_seed(seed, CHAIN_B)
-    series = np.empty(len(steps))
+    series = np.empty((len(couplings), len(steps)))
 
-    def guide(i, t, t_next, x0s):
-        series[i] = float(np.mean(np.linalg.norm(x0s[0] - x0s[1], axis=-1)))
-        return _guidance(coupling, schedule, t, t_next, *x0s)
+    def guide(i, t, t_next, l, x0s):
+        series[l, i] = float(np.mean(np.linalg.norm(x0s[0] - x0s[1], axis=-1)))
+        return _guidance(couplings[l], schedule, t, t_next, *x0s)
 
     models = (model_a, model_b)
-    xs, trajectories = _run_chains(
+    (xs_a, xs_b), (traj_a, traj_b) = _run_chains(
         models, (NoiseStream(seed_a), NoiseStream(seed_b)), ("chain A", "chain B"),
-        schedule, steps, sampler_config, n, guide,
+        schedule, steps, sampler_config, n, guide, copies=len(couplings),
     )
-    batch_a, batch_b = (
-        SampleBatch(samples=x, seed=chain_seed, trajectory=trajectory,
-                    fingerprint=config_fingerprint(model, schedule, sampler_config))
-        for x, chain_seed, model, trajectory in zip(xs, (seed_a, seed_b), models, trajectories)
-    )
-    return CoupledRunResult(batch_a=batch_a, batch_b=batch_b, coupling_series=series,
-                            series_steps=np.asarray(steps, dtype=np.int64))
+    fp_a, fp_b = (config_fingerprint(model, schedule, sampler_config) for model in models)
+    return [
+        CoupledRunResult(
+            batch_a=SampleBatch(samples=x_a, seed=seed_a, fingerprint=fp_a, trajectory=traj_a),
+            batch_b=SampleBatch(samples=x_b, seed=seed_b, fingerprint=fp_b, trajectory=traj_b),
+            coupling_series=row, series_steps=np.asarray(steps, dtype=np.int64),
+        )
+        for x_a, x_b, row in zip(xs_a, xs_b, series)
+    ]
+
+
+def coupled_sample(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSchedule,
+                   sampler_config: SamplerConfig, coupling: CouplingConfig,
+                   seed: int, n: int) -> CoupledRunResult:
+    """Run n coupled chain pairs from independent x_T ~ N(0, I).
+
+    Both chains run sample()'s loop plus the guidance increments, so lam = 0
+    is two sample() runs by construction. Chain noise comes from per-chain
+    streams seeded by derive_seed(seed, 0|1). It is coupled_sweep's
+    one-element case.
+    """
+    (result,) = coupled_sweep(model_a, model_b, schedule, sampler_config, [coupling], seed, n)
+    return result
 
 
 class _AveragedModel(ScoreModel):

@@ -21,6 +21,7 @@ The bits therefore equal scipy's logsumexp kernel on that layout. The noised
 means, factors, log weights and log-determinants of one noise level form a
 table; GmmScoreModel caches one table per alpha_bar it has seen, so the
 reverse steps of every run on one model instance share them.
+GmmVelocityModel likewise caches one flow-level table per flow time.
 """
 
 from __future__ import annotations
@@ -404,6 +405,26 @@ def gmm_flow_log_density(g: Gmm, x, t_flow: float):
     return _mixture_eval(x, _flow_level(g, t_flow), want_score=False)
 
 
+def _velocity(g: Gmm, x, t_flow: float, levels: dict):
+    """velocity_from_gmm, reading the flow level and t Sigma_j from levels
+    and filling them on a miss."""
+    t_flow = float(t_flow)
+    if not 0.0 < t_flow < 1.0:
+        raise ValueError("t_flow must lie strictly inside (0, 1)")
+    entry = levels.get(t_flow)
+    if entry is None:
+        entry = levels[t_flow] = (_flow_level(g, t_flow), t_flow * g.covariances())
+    level, scaled_sigmas = entry
+    # whitened[j] = C_j^-1 (x - t mu_j), (d, m)
+    batch, log_comp, whitened = _component_terms(x, level, whiten=True)
+    comp_v = [
+        (g.means[j] + (scaled_sigmas[j] @ u).T) - (1.0 - t_flow) * u.T  # E[x_0] - E[eps]
+        for j, u in enumerate(whitened)
+    ]  # K arrays (m, d)
+    resp = np.exp(log_comp - _logsumexp(log_comp))
+    return _mix(resp, comp_v).reshape(batch + (g.dim,))
+
+
 def velocity_from_gmm(g: Gmm, x, t_flow: float):
     """E[x_0 - eps | x_t = x] under the flow interpolation.
 
@@ -411,18 +432,7 @@ def velocity_from_gmm(g: Gmm, x, t_flow: float):
     responsibilities, independently of the score identity it is used to
     verify.
     """
-    t_flow = float(t_flow)
-    if not 0.0 < t_flow < 1.0:
-        raise ValueError("t_flow must lie strictly inside (0, 1)")
-    # whitened[j] = C_j^-1 (x - t mu_j), (d, m)
-    batch, log_comp, whitened = _component_terms(x, _flow_level(g, t_flow), whiten=True)
-    sigmas = g.covariances()
-    comp_v = [
-        (g.means[j] + (t_flow * sigmas[j] @ u).T) - (1.0 - t_flow) * u.T  # E[x_0] - E[eps]
-        for j, u in enumerate(whitened)
-    ]  # K arrays (m, d)
-    resp = np.exp(log_comp - _logsumexp(log_comp))
-    return _mix(resp, comp_v).reshape(batch + (g.dim,))
+    return _velocity(g, x, t_flow, {})
 
 
 def score_from_velocity(v, x, t_flow: float):
@@ -440,13 +450,14 @@ def score_from_velocity(v, x, t_flow: float):
 class GmmVelocityModel(VelocityModel):
     def __init__(self, gmm: Gmm):
         self.gmm = gmm
+        self._levels = {}  # t_flow -> (_Level, t_flow * covariances), built on first use
 
     @property
     def dim(self) -> int:
         return self.gmm.dim
 
     def velocity(self, x, t_flow):
-        return velocity_from_gmm(self.gmm, x, t_flow)
+        return _velocity(self.gmm, x, t_flow, self._levels)
 
     def describe(self) -> dict:
         return {"kind": "gmm_velocity", **self.gmm.to_dict()}

@@ -4,7 +4,9 @@ Every draw is a pure function of (seed, labels, shape): a fresh Philox
 generator is keyed per call, so blocks can be drawn in any order without
 changing a single bit of output. The noise of chain i at step t is row i of
 the (n, d) block addressed by (seed, STREAM_STEP, t); a worker holding a
-shard of the chains cannot draw its rows alone, only the whole block.
+shard of the chains cannot draw its rows alone, only the whole block. A
+lambda sweep draws each block once per chain and step: the block serves the
+chain's copy at every lambda.
 """
 
 from __future__ import annotations

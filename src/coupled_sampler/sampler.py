@@ -19,7 +19,10 @@ The final step (t = 1) never injects noise and returns the clean estimate
 exactly. Single and coupled runs share one step kernel (_step) and one loop
 (_run_chains). Each step's (n, d) noise block is addressed by (seed, stream,
 step), so a batch is bit-reproducible from (seed, config); a shard of the n
-chains cannot yet draw only its own rows.
+chains cannot yet draw only its own rows. A chain may hold several copies of
+its n points (one per coupling strength of a sweep): x_T and each step's
+noise are drawn once per chain and serve every copy, and the step runs on
+chunks of whole copies of at most _CHUNK_ELEMENTS rows x d.
 """
 
 from __future__ import annotations
@@ -42,6 +45,13 @@ VARIANCE_RULES = ("beta", "beta_tilde")
 # mixtures at T = 200; "beta_tilde" is the point-posterior choice and
 # under-disperses smooth targets by a few percent at this step count.
 DEFAULT_VARIANCE_RULE = "beta"
+
+# Rows x d of one step chunk. Its copies share a model call per chain, and
+# its temporaries bound the step's memory. The coupled bench (five-lambda
+# sweeps at n = 2048) peaked at 62.7 MB with one run per lambda, 71.3 MB
+# with no bound, 67.7 MB at 40960 and 63.5 MB here, where the five d = 2
+# copies share one chunk and each d = 6 copy runs alone.
+_CHUNK_ELEMENTS = 20480
 
 
 @dataclass(frozen=True)
@@ -155,52 +165,80 @@ def config_fingerprint(model: ScoreModel, schedule: NoiseSchedule,
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _chunks(copies: int, n: int, d: int) -> list:
+    """Whole copies per chunk, at most _CHUNK_ELEMENTS rows x d. At n = 1 each
+    copy runs alone: a 1-row mixture call rounds differently in LAPACK from
+    the same row solved among others."""
+    per = 1 if n == 1 else max(1, _CHUNK_ELEMENTS // (n * d))
+    return [range(lo, min(lo + per, copies)) for lo in range(0, copies, per)]
+
+
 def _run_chains(models, streams, names, schedule: NoiseSchedule, steps,
-                config: SamplerConfig, n: int, guide=None):
+                config: SamplerConfig, n: int, guide=None, copies: int = 1):
     """The sampling loop: K chains of n points each, in lockstep from x_T ~ N(0, I).
 
     Chain k, called names[k], evaluates models[k] and draws from streams[k].
-    After the chains' own updates, guide(i, t, t_next, x0_hats) may return
-    one increment per chain, or None. A model error, or a non-finite state
-    after a step, raises a RuntimeError naming the chain and the step.
-    Returns the final states and one Trajectory (or None) per chain.
+    It holds `copies` copies of its points, all started from one x_T and
+    moved by one noise block per step, so copy l is bit for bit the run with
+    one copy and copy l's guidance. The step runs on chunks of whole copies
+    (_chunks), held (copies in chunk, n, d). After the chains' own updates,
+    guide(i, t, t_next, l, x0s) may return one increment per chain for copy
+    l, or None; a copy left without one keeps its update's bits. A model
+    error, or a non-finite state after a step, raises a RuntimeError naming
+    the chain and the step. Returns per chain the final states, one (n, d)
+    array per copy, and one Trajectory (or None) per chain; a trajectory is
+    recorded for a single copy only.
     """
+    if config.record_trajectory and copies != 1:
+        raise ValueError("record_trajectory needs a single copy")
     d = models[0].dim
-    xs = [stream.normal((n, d), STREAM_INIT) for stream in streams]
+    chunks = _chunks(copies, n, d)
+    states = [[np.broadcast_to(x_T, (len(chunk), n, d)) for chunk in chunks]
+              for x_T in (stream.normal((n, d), STREAM_INIT) for stream in streams)]
     records = [[] for _ in models]
     for i, t in enumerate(steps):
-        eps = []
-        for model, x, name in zip(models, xs, names):
-            try:
-                eps.append(model.predict_epsilon(x, t, schedule))
-            except Exception as exc:
-                raise RuntimeError(f"{name}: model evaluation failed at step {t}") from exc
         t_next = steps[i + 1] if i + 1 < len(steps) else 0
         zs = [None] * len(models)
         if config.kind == "ancestral" and t_next != 0:
             zs = [stream.normal((n, d), STREAM_STEP, t) for stream in streams]
-        x0s, nxts = zip(*(
-            _step(x, e, z, schedule, t, t_next, config.kind, config.variance_rule)
-            for x, e, z in zip(xs, eps, zs)
-        ))
-        if config.record_trajectory:
-            for rec, x, x0, e in zip(records, xs, x0s, eps):
-                rec.append((x, x0, e))
-        increments = guide(i, t, t_next, x0s) if guide is not None else None
-        xs = []
-        for name, nxt, inc in zip(names, nxts, increments or [None] * len(models)):
-            x = nxt if inc is None else nxt + inc
-            if not np.isfinite(x).all():
-                cause = ("after the guidance increment; its own update was finite"
-                         if inc is not None and np.isfinite(nxt).all()
-                         else "from its own update (model or step)")
-                raise RuntimeError(f"{name}: non-finite state at step {t} {cause}")
-            xs.append(x)
+        for c, chunk in enumerate(chunks):
+            xs = [state[c] for state in states]
+            eps = []
+            for model, x, name in zip(models, xs, names):
+                try:
+                    eps.append(model.predict_epsilon(x.reshape(-1, d), t, schedule)
+                               .reshape(x.shape))
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"{name}: model evaluation failed at step {t}") from exc
+            x0s, nxts = zip(*(
+                _step(x, e, z, schedule, t, t_next, config.kind, config.variance_rule)
+                for x, e, z in zip(xs, eps, zs)
+            ))
+            if config.record_trajectory:
+                for rec, x, x0, e in zip(records, xs, x0s, eps):
+                    rec.append((x[0], x0[0], e[0]))
+            increments = [[] for _ in models]  # per chain: (copy in chunk, increment)
+            for j, index in enumerate(chunk if guide is not None else ()):
+                incs = guide(i, t, t_next, index, [x0[j] for x0 in x0s]) or ()
+                for per_chain, inc in zip(increments, incs):
+                    per_chain.append((j, inc))
+            for state, name, nxt, incs in zip(states, names, nxts, increments):
+                x = nxt.copy() if incs else nxt
+                for j, inc in incs:
+                    x[j] += inc
+                if not np.isfinite(x).all():
+                    cause = ("after the guidance increment; its own update was finite"
+                             if incs and np.isfinite(nxt).all()
+                             else "from its own update (model or step)")
+                    raise RuntimeError(f"{name}: non-finite state at step {t} {cause}")
+                state[c] = x
 
+    finals = [[x for chunk in state for x in chunk] for state in states]
     if not config.record_trajectory:
-        return xs, [None] * len(models)
+        return finals, [None] * len(models)
     steps_arr = np.asarray(steps, dtype=np.int64)
-    return xs, [
+    return finals, [
         Trajectory(steps_arr, *(np.stack(field) for field in zip(*rec)))
         for rec in records
     ]
@@ -212,7 +250,7 @@ def sample(model: ScoreModel, schedule: NoiseSchedule, config: SamplerConfig,
     if n < 1:
         raise ValueError("n must be >= 1")
     steps = config.steps_for(schedule)
-    (x,), (trajectory,) = _run_chains(
+    ((x,),), (trajectory,) = _run_chains(
         [model], [NoiseStream(seed)], ["chain"], schedule, steps,
         config, n,
     )

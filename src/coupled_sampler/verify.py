@@ -106,11 +106,12 @@ def fixed_point_means() -> list:
     gmm_a, gmm_b, _ = resolve_pair("separated-pair")
     model_a, model_b = models.GmmScoreModel(gmm_a), models.GmmScoreModel(gmm_b)
     mu_a, mu_b = gmm_a.means[0], gmm_b.means[0]
-    sched, cfg = _default_schedule(), sampler.SamplerConfig()
+    lams = (0.5, 1.0, 2.0)
+    runs = coupling.coupled_sweep(model_a, model_b, _default_schedule(), sampler.SamplerConfig(),
+                                  [coupling.CouplingConfig(lam=lam) for lam in lams],
+                                  seed=11, n=4096)
     rows = []
-    for lam in (0.5, 1.0, 2.0):
-        run = coupling.coupled_sample(model_a, model_b, sched, cfg,
-                                      coupling.CouplingConfig(lam=lam), seed=11, n=4096)
+    for lam, run in zip(lams, runs):
         mean_a = run.batch_a.samples.mean(axis=0)
         mean_b = run.batch_b.samples.mean(axis=0)
         dev = max(

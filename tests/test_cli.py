@@ -252,10 +252,13 @@ def _twenty_steps(doc):
     doc["schedule"]["num_steps"] = 20
 
 
-def _set_sampler(**sampler):
+def _set_sampler(sweep=False, **sampler):
     def mutate(doc):
         _twenty_steps(doc)
         doc["sampler"] = sampler
+        if sweep:
+            del doc["coupling"]
+            doc["lambda_grid"] = [0.0, 1.0, 2.0]
     return mutate
 
 
@@ -361,6 +364,10 @@ def _tiny_shift(doc):
     ("couple", _set_scene(n_views=1), "scene: n_views: need at least two views, got 1"),
     ("couple", _set_scene(jitter=0), "scene: jitter: must be positive, got 0"),
     ("couple", _set_scene(view_dim=3), "scene: latent: dimension 2 differs from view_dim 3"),
+    ("couple", _set_sampler(record_trajectory=True),
+     "sampler.record_trajectory: only sample writes a trajectory"),
+    ("sweep", _set_sampler(sweep=True, record_trajectory=True),
+     "sampler.record_trajectory: only sample writes a trajectory"),
 ], ids=["subset_not_from_T", "subset_repeats", "ramp_couple", "noise_policy_sweep",
         "negative_grid", "seed_past_u64", "sample_one_point", "noiseless_first_step",
         "shift_too_small", "reference_inf", "reference_nan", "reference_bool",
@@ -370,7 +377,7 @@ def _tiny_shift(doc):
         "mixture_unknown_key", "pair_unknown_key", "reference_unknown_key",
         "scene_unknown_key", "pair_missing_model_b", "pair_model_b_string_weight",
         "scene_wrong_kind", "scene_over_joint_cap", "scene_one_view", "scene_zero_jitter",
-        "scene_view_dim_mismatch"])
+        "scene_view_dim_mismatch", "couple_trajectory", "sweep_trajectory"])
 def test_bad_value_rejected_before_output(tmp_path, capsys, command, mutate, key):
     doc = sample_config() if command == "sample" else couple_config()
     mutate(doc)
@@ -644,6 +651,7 @@ def test_readme_config_parses(tmp_path, monkeypatch, stem):
 
     monkeypatch.setattr(cli, "sample", reached)
     monkeypatch.setattr(cli, "coupled_sample", reached)
+    monkeypatch.setattr(cli, "coupled_sweep", reached)
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     with pytest.raises(_Reached):

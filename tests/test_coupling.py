@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from coupled_sampler import models
+from coupled_sampler import models, sampler
 from coupled_sampler.coupling import (
     GUIDANCE_RULES,
     CouplingConfig,
     _guidance,
     coupled_sample,
+    coupled_sweep,
     coupling_energy,
     coupling_gradient,
     guidance_scale,
@@ -17,9 +18,9 @@ from coupled_sampler.coupling import (
     score_average_sample,
 )
 from coupled_sampler.metrics import consistency_residual, coupling_distance
-from coupled_sampler.models import Gmm, GmmScoreModel
-from coupled_sampler.presets import resolve_pair, resolve_scene
-from coupled_sampler.rng import CHAIN_A, CHAIN_B, derive_seed
+from coupled_sampler.models import Gmm, GmmScoreModel, ScoreModel, mv_chain_models
+from coupled_sampler.presets import resolve_gmm, resolve_pair, resolve_scene
+from coupled_sampler.rng import CHAIN_A, CHAIN_B, NoiseStream, derive_seed
 from coupled_sampler.sampler import SamplerConfig, sample
 from coupled_sampler.schedule import build_linear
 from coupled_sampler.verify import central_difference
@@ -225,6 +226,124 @@ class TestCoupledSample:
         with pytest.raises(RuntimeError, match="chain B"):
             coupled_sample(gaussian_model([0.0, 0.0]), bad, sched, SamplerConfig(),
                            CouplingConfig(), 0, 4)
+
+
+def chain_models(source):
+    """(model_a, model_b) of a preset pair, the mv-triangle scene or two mixtures."""
+    if source == "mv-triangle":
+        return mv_chain_models(resolve_scene(source))
+    if source == "mixtures":
+        return GmmScoreModel(resolve_gmm("bimodal-2d")), GmmScoreModel(resolve_gmm("anis-3c-2d"))
+    gmm_a, gmm_b, _ = resolve_pair(source)
+    return GmmScoreModel(gmm_a), GmmScoreModel(gmm_b)
+
+
+class _Spy(ScoreModel):
+    """Records the row count of every call before delegating."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rows = []
+
+    @property
+    def dim(self):
+        return self.inner.dim
+
+    def predict_epsilon(self, x, t, schedule):
+        self.rows.append(np.shape(x)[0])
+        return self.inner.predict_epsilon(x, t, schedule)
+
+    def describe(self):
+        return self.inner.describe()
+
+
+_SWEEP_VARIANTS = {
+    # (lambda grid, sampler config, guidance rule, chunk bound in copies or None)
+    "leading_zero": ([0.0, 0.5, 1.0, 2.0, 4.0], SamplerConfig(), "posterior_tilt", None),
+    "deterministic": ([0.25, 1.0, 3.0], SamplerConfig(kind="deterministic"), "posterior_tilt",
+                      None),
+    "subset_alpha_bar_prev": ([0.0, 0.5, 2.0], SamplerConfig(step_subset=(30, 22, 13, 6, 2, 1)),
+                              "alpha_bar_prev", None),
+    "two_copy_chunks": ([0.0, 0.5, 1.0, 2.0, 4.0], SamplerConfig(), "posterior_tilt", 2),
+}
+
+
+class TestCoupledSweep:
+    @pytest.mark.parametrize("variant", sorted(_SWEEP_VARIANTS))
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    @pytest.mark.parametrize("source",
+                             ["separated-pair", "two-moons-pair", "mv-triangle", "mixtures"])
+    def test_each_copy_is_the_single_lambda_run(self, monkeypatch, source, n, variant):
+        grid, cfg, rule, per_chunk = _SWEEP_VARIANTS[variant]
+        ma, mb = chain_models(source)
+        if per_chunk is not None:
+            monkeypatch.setattr(sampler, "_CHUNK_ELEMENTS", per_chunk * n * ma.dim)
+        sched = build_linear(30, 1e-3, 0.3)
+        couplings = [CouplingConfig(lam=lam, guidance_scale_rule=rule) for lam in grid]
+        sweep = coupled_sweep(ma, mb, sched, cfg, couplings, 13, n)
+        assert len(sweep) == len(grid)
+        for cpl, run in zip(couplings, sweep):
+            solo = coupled_sample(ma, mb, sched, cfg, cpl, 13, n)
+            # tobytes compares every bit, the sign of zeros included
+            for got, want in ((run.batch_a.samples, solo.batch_a.samples),
+                              (run.batch_b.samples, solo.batch_b.samples),
+                              (run.coupling_series, solo.coupling_series),
+                              (run.series_steps, solo.series_steps)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert run.batch_a.fingerprint == solo.batch_a.fingerprint
+            assert run.batch_b.seed == solo.batch_b.seed
+
+    @pytest.mark.parametrize("n", [1, 2, 37, 2048])
+    @pytest.mark.parametrize("source", ["separated-pair", "mv-triangle"])
+    def test_model_calls_stay_within_the_chunk_bound(self, source, n):
+        ma, mb = (_Spy(m) for m in chain_models(source))
+        grid = [0.0, 0.5, 1.0, 2.0, 4.0]
+        coupled_sweep(ma, mb, build_linear(5, 1e-2, 0.3), SamplerConfig(),
+                      [CouplingConfig(lam=lam) for lam in grid], 3, n)
+        rows = ma.rows + mb.rows
+        d = ma.dim
+        assert rows and all(r % n == 0 for r in rows)
+        assert max(rows) * d <= max(sampler._CHUNK_ELEMENTS, n * d)
+        if n == 1:
+            assert set(rows) == {1}  # a 1-row call rounds differently; never merged
+        elif 2 * n * d <= sampler._CHUNK_ELEMENTS:
+            assert max(rows) > n  # copies were merged
+        else:
+            assert set(rows) == {n}
+
+    @pytest.mark.parametrize("cfg", [SamplerConfig(), SamplerConfig(step_subset=(30, 17, 4, 1))],
+                             ids=["all_steps", "step_subset"])
+    @pytest.mark.parametrize("copies", [1, 3, 5])
+    def test_noise_drawn_once_per_chain_per_step(self, monkeypatch, cfg, copies):
+        draws = []
+        normal = NoiseStream.normal
+
+        def counted(self, shape, *labels):
+            draws.append(shape)
+            return normal(self, shape, *labels)
+
+        monkeypatch.setattr(NoiseStream, "normal", counted)
+        sched = build_linear(30, 1e-3, 0.3)
+        ma, mb = chain_models("separated-pair")
+        coupled_sweep(ma, mb, sched, cfg, [CouplingConfig(lam=0.5 * l) for l in range(copies)],
+                      5, 16)
+        S = len(cfg.steps_for(sched))
+        assert len(draws) == 2 + 2 * (S - 1)
+        assert set(draws) == {(16, 2)}
+
+    def test_trajectory_needs_a_single_lambda(self):
+        ma, mb = chain_models("separated-pair")
+        cfg = SamplerConfig(record_trajectory=True)
+        with pytest.raises(ValueError, match="single copy"):
+            coupled_sweep(ma, mb, short_schedule(), cfg,
+                          [CouplingConfig(lam=0.0), CouplingConfig(lam=1.0)], 0, 4)
+        (run,) = coupled_sweep(ma, mb, short_schedule(), cfg, [CouplingConfig(lam=1.0)], 0, 4)
+        assert run.batch_a.trajectory.x_t.shape == (60, 4, 2)
+
+    def test_empty_coupling_list_rejected(self):
+        ma, mb = chain_models("separated-pair")
+        with pytest.raises(ValueError, match="at least one coupling"):
+            coupled_sweep(ma, mb, short_schedule(), SamplerConfig(), [], 0, 4)
 
 
 class TestScoreAverage:

@@ -420,6 +420,15 @@ class TestVelocity:
             with pytest.raises(ValueError):
                 velocity_from_gmm(g, np.zeros(2), t)
 
+    def test_model_cache_matches_uncached_bits(self):
+        rng = np.random.default_rng(43)
+        g = random_gmm(rng, k=3, d=3)
+        model = GmmVelocityModel(g)
+        x = rng.normal(scale=1.5, size=(40, 3))
+        for t in (0.1, 0.5, 0.9, 0.5):  # 0.5 again: a cache hit
+            assert np.array_equal(model.velocity(x, t), velocity_from_gmm(g, x, t))
+        assert sorted(model._levels) == [0.1, 0.5, 0.9]
+
 
 class TestScoreFromVelocity:
     def test_zero_numerator(self):

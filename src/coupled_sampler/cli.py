@@ -167,7 +167,8 @@ _COUPLE_SCHEMA = {
     "svg": (False, _as_bool),
 }
 
-_SWEEP_SCHEMA = dict(_COUPLE_SCHEMA)
+# a sweep always writes sweep.svg, so it takes no svg key
+_SWEEP_SCHEMA = {k: v for k, v in _COUPLE_SCHEMA.items() if k != "svg"}
 _SWEEP_SCHEMA["lambda_grid"] = (True, _as_list(_json_number))
 
 
@@ -210,9 +211,19 @@ def _resolve_couple_models(fields):
     return GmmScoreModel(gmm_a), GmmScoreModel(gmm_b), gmm_a, gmm_b, None, reference
 
 
-def _out_dir(args) -> Path:
+def _check_svg(fields, dim: int):
+    if fields.get("svg") and dim < 2:
+        raise ConfigError(f"svg: a scatter plot needs two dimensions, the model has {dim}")
+
+
+def _out_path(args) -> Path:
+    """--out, checked before compute; the directory is made only at emit."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    for p in (out, *out.parents):
+        if p.is_symlink() or p.exists():  # a dangling link blocks mkdir too
+            if not p.is_dir():
+                raise ConfigError(f"--out: {p} exists and is not a directory")
+            break
     return out
 
 
@@ -234,12 +245,11 @@ def _trajectory_csv(path, trajectory):
     )
 
     def rows():
-        step_list = trajectory.steps.tolist()
+        steps = trajectory.steps.tolist()
+        block = np.concatenate((trajectory.x_t, trajectory.x0_hat, trajectory.eps_hat), axis=-1)
         for i in range(n):
-            chain = (trajectory.x_t[:, i].tolist(), trajectory.x0_hat[:, i].tolist(),
-                     trajectory.eps_hat[:, i].tolist())
-            for t, x, x0, eps in zip(step_list, *chain):
-                yield [i, t] + x + x0 + eps
+            for t, values in zip(steps, block[:, i].tolist()):
+                yield [i, t] + values
 
     write_csv(path, header, rows())
 
@@ -255,6 +265,8 @@ def cmd_sample(args) -> int:
     sched = parse_schedule_cfg(fields["schedule"])
     cfg = parse_sampler_cfg(fields.get("sampler", {}), sched)
     n, seed = fields["n"], fields["seed"]
+    _check_svg(fields, gmm.dim)
+    out = _out_path(args)
 
     batch = sample(GmmScoreModel(gmm), sched, cfg, seed, n)
     exact = gmm_sample(gmm, n, generator(seed, _EXACT_CLOUD))
@@ -266,7 +278,7 @@ def cmd_sample(args) -> int:
             sample_count=n, seed=seed,
         ),
     ]
-    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     _samples_csv(out / "samples.csv", batch.samples)
     if cfg.record_trajectory:
         _trajectory_csv(out / "trajectory.csv", batch.trajectory)
@@ -326,10 +338,12 @@ def cmd_couple(args) -> int:
     coupling_cfg = parse_coupling_cfg(fields.get("coupling", {}))
     n, seed = fields["n"], fields["seed"]
     model_a, model_b, gmm_a, gmm_b, scene, reference = _resolve_couple_models(fields)
+    _check_svg(fields, model_a.dim)
+    out = _out_path(args)
 
     result = coupled_sample(model_a, model_b, sched, sampler_cfg, coupling_cfg, seed, n)
     reports = _couple_reports(result, gmm_a, gmm_b, scene, reference, n, seed)
-    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     _samples_csv(out / "samples_a.csv", result.batch_a.samples)
     _samples_csv(out / "samples_b.csv", result.batch_b.samples)
     write_csv(
@@ -376,6 +390,7 @@ def cmd_sweep(args) -> int:
             couplings.append(replace(base_coupling, lam=lam))
     n, seed = fields["n"], fields["seed"]
     model_a, model_b, gmm_a, gmm_b, scene, _ = _resolve_couple_models(fields)
+    out = _out_path(args)
 
     points = []
     results = coupled_sweep(model_a, model_b, sched, sampler_cfg, couplings, seed, n)
@@ -392,7 +407,7 @@ def cmd_sweep(args) -> int:
         ))
 
     verdicts = sweep_summary(points)
-    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "sweep.csv",
         ["lambda", "coupling_median", "nll_a", "nll_b", "residual_b"],

@@ -8,6 +8,7 @@ from raw circle/line/polyline primitives; no plotting dependency.
 from __future__ import annotations
 
 import json
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,26 @@ def fmt_cell(v) -> str:
     return repr(float(v))
 
 
+_CHUNK_ROWS = 4096
+
+
 def write_csv(path, header, rows) -> Path:
+    """rows is consumed lazily, _CHUNK_ROWS rows at a time.
+
+    A chunk of list rows whose every cell is a Python int or float is
+    written from one repr of the chunk: repr(float) is the shortest
+    round-trip form and repr(int) is str(int), so the bytes equal fmt_cell's.
+    """
     path = Path(path)
+    rows = iter(rows)
     with path.open("w") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(map(fmt_cell, row)) + "\n")
+        while batch := list(islice(rows, _CHUNK_ROWS)):
+            cells = chain.from_iterable(batch)
+            if set(map(type, batch)) == {list} and set(map(type, cells)) <= {int, float}:
+                f.write(repr(batch)[2:-2].replace("], [", "\n").replace(", ", ",") + "\n")
+            else:
+                f.writelines(",".join(map(fmt_cell, row)) + "\n" for row in batch)
     return path
 
 
@@ -52,10 +67,11 @@ class _Canvas:
         self.lo, self.hi, self.size = lo, hi, size
         self.span = hi - lo
 
-    def map(self, p):
-        x = (p[0] - self.lo[0]) / self.span[0] * self.size
-        y = self.size - (p[1] - self.lo[1]) / self.span[1] * self.size
-        return x, y
+    def map(self, points):
+        """Pixel coordinates of (n, >=2) points, as two lists of floats."""
+        x = (points[:, 0] - self.lo[0]) / self.span[0] * self.size
+        y = self.size - (points[:, 1] - self.lo[1]) / self.span[1] * self.size
+        return x.tolist(), y.tolist()
 
 
 def _svg_doc(size_w: int, size_h: int, body: list) -> str:
@@ -82,17 +98,12 @@ def scatter_svg(groups, segments=None, size: int = 640) -> str:
     body = []
     if segments is not None:
         a, b = (np.asarray(s, dtype=float)[:, :2] for s in segments)
-        for pa, pb in zip(a, b):
-            xa, ya = cv.map(pa)
-            xb, yb = cv.map(pb)
-            body.append(
-                f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" '
-                f'stroke="#cccccc" stroke-width="0.4"/>'
-            )
+        body += ['<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                 'stroke="#cccccc" stroke-width="0.4"/>' % c
+                 for c in zip(*cv.map(a), *cv.map(b))]
     for points, color in zip(pts, (c for _, c in groups)):
-        for p in points:
-            x, y = cv.map(p)
-            body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.6" fill="{color}"/>')
+        body += ['<circle cx="%.2f" cy="%.2f" r="1.6" fill="%s"/>' % (x, y, color)
+                 for x, y in zip(*cv.map(points))]
     return _svg_doc(size, size, body)
 
 

@@ -22,17 +22,28 @@ means, factors, log weights and log-determinants of one noise level form a
 table; GmmScoreModel caches one table per alpha_bar it has seen, so the
 reverse steps of every run on one model instance share them.
 GmmVelocityModel likewise caches one flow-level table per flow time.
+
+The triangular solves call LAPACK dtrtrs from scipy.linalg._flapack, the
+extension scipy.linalg.lapack re-exports. The module loads that extension
+file directly instead of importing scipy.linalg, whose package init pulls in
+about 300 modules (numpy.f2py and numpy.testing among them) and would be
+most of a CLI process's start-up time and memory. The function object is the
+one scipy.linalg.lapack hands out, so every output bit is the same.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+import scipy
 
 from .config import _building, _json_array, _json_int, _json_number, _kind, _require
 from .schedule import NoiseSchedule, _readonly, alpha_bar_to_flow_time
@@ -157,6 +168,30 @@ def _noised_level(g: Gmm, alpha_bar: float) -> _Level:
 
 def _flow_level(g: Gmm, t_flow: float) -> _Level:
     return _level(g, t_flow, t_flow**2, (1.0 - t_flow) ** 2)
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, loaded from its file under scipy.__path__ and
+    registered under its own name, so scipy/linalg/__init__.py never runs."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # scipy.linalg was imported first
+        return sys.modules[name]
+    searched = []
+    for root in scipy.__path__:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(root, "linalg", "_flapack" + suffix)
+            if path.is_file():
+                loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+                spec = importlib.util.spec_from_loader(name, loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                sys.modules[name] = module
+                return module
+            searched.append(str(path))
+    raise ImportError(f"scipy's LAPACK extension {name} not found; searched {searched}")
+
+
+dtrtrs = _load_flapack().dtrtrs
 
 
 def _solve_upper(upper, b, trans: int) -> np.ndarray:

@@ -300,6 +300,23 @@ def _set_mixture(**fields):
     return mutate
 
 
+_ONE_DIM = {"weights": [1.0], "means": [[0.0]], "covariances": [[[1.0]]]}
+
+
+def _one_dim_svg(doc):
+    if "model" in doc:
+        doc["model"] = _ONE_DIM
+    else:
+        del doc["pair"]
+        doc["model_a"] = doc["model_b"] = _ONE_DIM
+    doc["svg"] = True
+
+
+def _sweep_svg(doc):
+    _set_coupling(sweep=True)(doc)
+    doc["svg"] = False
+
+
 def _seed_past_u64(doc):
     doc["seed"] = 2**64
 
@@ -368,6 +385,9 @@ def _tiny_shift(doc):
      "sampler.record_trajectory: only sample writes a trajectory"),
     ("sweep", _set_sampler(sweep=True, record_trajectory=True),
      "sampler.record_trajectory: only sample writes a trajectory"),
+    ("sample", _one_dim_svg, "svg: a scatter plot needs two dimensions, the model has 1"),
+    ("couple", _one_dim_svg, "svg: a scatter plot needs two dimensions, the model has 1"),
+    ("sweep", _sweep_svg, "svg: unknown key"),
 ], ids=["subset_not_from_T", "subset_repeats", "ramp_couple", "noise_policy_sweep",
         "negative_grid", "seed_past_u64", "sample_one_point", "noiseless_first_step",
         "shift_too_small", "reference_inf", "reference_nan", "reference_bool",
@@ -377,7 +397,8 @@ def _tiny_shift(doc):
         "mixture_unknown_key", "pair_unknown_key", "reference_unknown_key",
         "scene_unknown_key", "pair_missing_model_b", "pair_model_b_string_weight",
         "scene_wrong_kind", "scene_over_joint_cap", "scene_one_view", "scene_zero_jitter",
-        "scene_view_dim_mismatch", "couple_trajectory", "sweep_trajectory"])
+        "scene_view_dim_mismatch", "couple_trajectory", "sweep_trajectory",
+        "sample_svg_one_dim", "couple_svg_one_dim", "sweep_svg"])
 def test_bad_value_rejected_before_output(tmp_path, capsys, command, mutate, key):
     doc = sample_config() if command == "sample" else couple_config()
     mutate(doc)
@@ -386,6 +407,45 @@ def test_bad_value_rejected_before_output(tmp_path, capsys, command, mutate, key
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def _out_is_file(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("x")
+    return path
+
+
+def _out_under_file(tmp_path):
+    return _out_is_file(tmp_path) / "o"
+
+
+def _out_dangling_link(tmp_path):
+    _out_is_file(tmp_path)
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "missing")
+    return link
+
+
+@pytest.mark.parametrize("command", ["sample", "couple", "sweep"])
+@pytest.mark.parametrize("out_path", [_out_is_file, _out_under_file, _out_dangling_link],
+                         ids=["file", "under_file", "dangling_link"])
+def test_out_not_a_directory_rejected_before_compute(tmp_path, capsys, monkeypatch,
+                                                     command, out_path):
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, "sample", reached)
+    monkeypatch.setattr(cli, "coupled_sample", reached)
+    monkeypatch.setattr(cli, "coupled_sweep", reached)
+    doc = sample_config() if command == "sample" else couple_config()
+    if command == "sweep":
+        _set_coupling(sweep=True)(doc)
+    cfg = write_config(tmp_path, doc)
+    out = out_path(tmp_path)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "--out: " in capsys.readouterr().err
+    assert {p.name for p in tmp_path.iterdir()} <= {"cfg.json", "taken", "link"}
+    assert (tmp_path / "taken").read_text() == "x"
 
 
 def test_guidance_overflow_names_guidance(tmp_path, capsys):
@@ -659,14 +719,36 @@ def test_readme_config_parses(tmp_path, monkeypatch, stem):
     assert not out.exists()
 
 
-def test_cli_import_skips_scipy_spatial():
-    # a fresh interpreter: this process has already imported whatever the
-    # other tests pulled in
+def _fresh_python(code: str) -> str:
+    """stdout of code run in a fresh interpreter: this process has already
+    imported whatever the other tests pulled in."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, coupled_sampler.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_skips_scipy_spatial():
+    code = ("import sys, coupled_sampler.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_cli_import_loads_only_flapack_from_scipy_linalg():
+    code = ("import sys, coupled_sampler.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'linalg'], ['numpy', 'f2py'], ['numpy', 'testing'])))")
+    assert _fresh_python(code) == "['scipy.linalg._flapack']"
+
+
+@pytest.mark.parametrize("first, second", [
+    ("coupled_sampler.models", "scipy.linalg.lapack"),
+    ("scipy.linalg.lapack", "coupled_sampler.models"),
+], ids=["package_first", "scipy_first"])
+def test_dtrtrs_is_scipy_lapack_dtrtrs(first, second):
+    code = (f"import sys, {first}, {second}; "
+            "print(sys.modules['scipy.linalg.lapack'].dtrtrs "
+            "is sys.modules['coupled_sampler.models'].dtrtrs)")
+    assert _fresh_python(code) == "True"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coupled_sampler.cli import _samples_csv, _trajectory_csv
-from coupled_sampler.emit import write_csv
+from coupled_sampler.emit import _CHUNK_ROWS, scatter_svg, write_csv
 from coupled_sampler.models import GmmScoreModel
 from coupled_sampler.presets import resolve_gmm
 from coupled_sampler.sampler import SamplerConfig, sample
@@ -37,11 +37,26 @@ MIXED_ROWS = [
 ]
 
 
+
+def _long_rows():
+    """Two and a half chunks of plain int/float rows; a None row sits in the
+    middle chunk, so that chunk alone takes the per-cell path, and an empty
+    row sits in the last."""
+    pool = [0.1, -0.0, 5e-324, 1e16, float("nan"), float("inf"), float("-inf"), 2.5]
+    rng = np.random.default_rng(0)
+    rows = [[i, -i] + pool[i % 8:] + rng.standard_normal(3).tolist()
+            for i in range(2 * _CHUNK_ROWS + _CHUNK_ROWS // 2)]
+    rows[_CHUNK_ROWS + 7] = [None, 1.0, 2]
+    rows[2 * _CHUNK_ROWS + 3] = []
+    return rows
+
+
 @pytest.mark.parametrize("rows", [
     [],
     MIXED_ROWS[:1],
     MIXED_ROWS,
-], ids=["header_only", "one_row", "mixed_types"])
+    _long_rows(),
+], ids=["header_only", "one_row", "mixed_types", "chunks_with_none_row"])
 def test_write_csv_bytes_match_reference(tmp_path, rows):
     header = [f"c{k}" for k in range(6)]
     got = write_csv(tmp_path / "got.csv", header, iter(rows))
@@ -85,3 +100,47 @@ def test_trajectory_csv_matches_per_scalar_rows(tmp_path, recorded_batch):
     want = (tmp_path / "want.csv").read_bytes()
     assert want.count(b"\n") == 1 + n * steps
     assert (tmp_path / "got.csv").read_bytes() == want
+
+
+def _scatter_svg_reference(groups, segments=None, size=640):
+    """scatter_svg as it mapped and formatted one point at a time."""
+    pts = [np.asarray(p, dtype=float)[:, :2] for p, _ in groups]
+    stack = np.vstack(pts + ([np.asarray(s, dtype=float)[:, :2] for s in segments]
+                             if segments else []))
+    lo, hi = stack.min(axis=0), stack.max(axis=0)
+    span = np.maximum(hi - lo, 1e-9)
+    lo, hi = lo - 0.05 * span, hi + 0.05 * span
+    span = hi - lo
+
+    def to_px(p):
+        return ((p[0] - lo[0]) / span[0] * size,
+                size - (p[1] - lo[1]) / span[1] * size)
+
+    body = []
+    if segments is not None:
+        a, b = (np.asarray(s, dtype=float)[:, :2] for s in segments)
+        for pa, pb in zip(a, b):
+            (xa, ya), (xb, yb) = to_px(pa), to_px(pb)
+            body.append(f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" '
+                        f'stroke="#cccccc" stroke-width="0.4"/>')
+    for points, (_, color) in zip(pts, groups):
+        for p in points:
+            x, y = to_px(p)
+            body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.6" fill="{color}"/>')
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'viewBox="0 0 {size} {size}">')
+    return "\n".join([head, f'<rect width="{size}" height="{size}" fill="#ffffff"/>']
+                     + body + ["</svg>"]) + "\n"
+
+
+@pytest.mark.parametrize("with_segments", [False, True], ids=["scatter", "paired"])
+def test_scatter_svg_bytes_match_per_point_reference(with_segments):
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((300, 3)) * [1e-3, 50.0, 1.0]
+    b = a + rng.standard_normal((300, 3))
+    b[0, :2] = [-0.0, 0.0]
+    groups = [(a, "#999999"), (b, "#d95f02")]
+    segments = (a, b) if with_segments else None
+    got = scatter_svg(groups, segments=segments)
+    assert got == _scatter_svg_reference(groups, segments=segments)
+    assert got.count("<circle") == 600

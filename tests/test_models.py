@@ -1,9 +1,11 @@
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
@@ -15,6 +17,7 @@ from coupled_sampler.models import (
     MvScene,
     VelocityModel,
     VelocityWrappedScoreModel,
+    _load_flapack,
     _row_sum,
     gmm_epsilon,
     gmm_flow_log_density,
@@ -642,6 +645,14 @@ def test_non_finite_points_rejected(value):
     for call in calls:
         with pytest.raises(ValueError, match="infs or NaNs"):
             call()
+
+
+def test_missing_lapack_extension_names_paths_searched(tmp_path, monkeypatch):
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    with pytest.raises(ImportError, match="not found; searched") as info:
+        _load_flapack()
+    assert str(tmp_path / "linalg" / "_flapack") in str(info.value)
 
 
 def test_score_model_tables_die_with_the_model():

@@ -14,11 +14,13 @@ import numpy as np
 from .models import Gmm, gmm_noised_log_density
 
 
-def _cloud(obj) -> np.ndarray:
+def _cloud(obj, name: str) -> np.ndarray:
     arr = getattr(obj, "samples", obj)
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
-        raise ValueError("expected a 2-d cloud of samples")
+        raise ValueError(f"{name}: expected a 2-d cloud of samples")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name}: holds non-finite values")
     return arr
 
 
@@ -59,7 +61,7 @@ class MetricReport:
 
 def gmm_nll(g: Gmm, cloud) -> float:
     """Mean negative log density of the cloud under the clean mixture."""
-    cloud = _cloud(cloud)
+    cloud = _cloud(cloud, "cloud")
     if cloud.shape[0] == 0:
         raise ValueError("cloud is empty")
     return float(-np.mean(gmm_noised_log_density(g, cloud, 1.0)))
@@ -75,8 +77,8 @@ class CouplingDistanceSummary:
 
 def coupling_distance(batch_a, batch_b) -> CouplingDistanceSummary:
     """Per-pair L2 distances between two equally sized batches."""
-    a = _cloud(batch_a)
-    b = _cloud(batch_b)
+    a = _cloud(batch_a, "batch_a")
+    b = _cloud(batch_b, "batch_b")
     if a.shape != b.shape:
         raise ValueError("batches must share count and dimension")
     d = np.linalg.norm(a - b, axis=1)
@@ -88,7 +90,9 @@ def coupling_distance(batch_a, batch_b) -> CouplingDistanceSummary:
     )
 
 
-# Rows of the pooled distance matrix built at a time (8 MB at 8192 points).
+# Rows of the pooled distance matrix built at a time. A strip holds its
+# rows' entries from the diagonal rightwards, so the buffer for the first and
+# widest strip takes 8 MB at 8192 points.
 _BLOCK_ROWS = 256
 
 
@@ -109,15 +113,18 @@ def energy_permutation_test(cloud_a, cloud_b, rng: np.random.Generator,
 
     The observed statistic and every permuted statistic are computed by the
     same all-cross-pairs estimator on the pooled distance matrix, so the
-    comparison is exchangeable under the null. Distances are formed in
-    float32; sums are accumulated in float64. The matrix is never held
-    whole: it is built _BLOCK_ROWS rows at a time, and each block is reduced
-    against the permutation labels and summed by row before the next is
-    built, so memory is linear in the sample count (times the permutation
-    count) rather than quadratic.
+    comparison is exchangeable under the null. Only the strict upper
+    triangle of that symmetric, zero-diagonal matrix is built, _BLOCK_ROWS
+    rows at a time, and each strip is reduced against the permutation labels
+    before the next is built, so memory is linear in the sample count (times
+    the permutation count) rather than quadratic. Distances and each strip's
+    products with the labels are formed in float32; the strips' sums are
+    accumulated in float64. The pooled cloud is padded to whole strips, so
+    every matrix product has a shape fixed by the strip, and the result does
+    not depend on the BLAS thread count.
     """
-    a = _cloud(cloud_a)
-    b = _cloud(cloud_b)
+    a = _cloud(cloud_a, "cloud_a")
+    b = _cloud(cloud_b, "cloud_b")
     if a.shape[1] != b.shape[1]:
         raise ValueError("clouds must share a dimension")
     na, nb = a.shape[0], b.shape[0]
@@ -126,41 +133,53 @@ def energy_permutation_test(cloud_a, cloud_b, rng: np.random.Generator,
     if n_permutations < 1:
         raise ValueError("need at least one permutation")
 
-    pooled = np.vstack([a, b]).astype(np.float32)
     m = na + nb
-    sq = np.einsum("ij,ij->i", pooled, pooled)
+    # The padding points carry no label, and their distances are masked.
+    rows = _BLOCK_ROWS
+    padded = -(-m // rows) * rows
+    # Centred first: |x|^2 + |y|^2 - 2 x.y in float32 loses the digits that
+    # the cloud's offset from the origin takes.
+    center = (a.sum(axis=0) + b.sum(axis=0)) / m
+    pooled = np.zeros((padded, a.shape[1]), dtype=np.float32)
+    pooled[:na] = a - center
+    pooled[na:m] = b - center
+    sq = np.einsum("ij,ij->i", pooled, pooled)[:, None]
+    ones = np.ones_like(sq)
+    # left[i] @ right[j] = |x_i|^2 + |x_j|^2 - 2 x_i.x_j; the -2 is exact.
+    left = np.hstack([-2.0 * pooled, sq, ones])
+    right = np.hstack([pooled, ones, sq])
 
     # Column 0 is the observed labelling; the rest are permuted half-splits.
-    sel = np.zeros((m, n_permutations + 1), dtype=np.float32)
+    # The last column is all ones, so the product below also sums each row.
+    sel = np.zeros((padded, n_permutations + 2), dtype=np.float32)
     sel[:na, 0] = 1.0
     for j in range(1, n_permutations + 1):
         sel[rng.permutation(m)[:na], j] = 1.0
+    sel[:, -1] = 1.0
 
-    # Every block has the same row count: the last one overlaps the block
-    # before it instead of running short. BLAS picks its kernel by shape, and
-    # a short block (a single row above all) can be summed in another order.
-    rows = min(_BLOCK_ROWS, m)
-    reach = np.empty((m, n_permutations + 1), dtype=np.float32)  # dist @ sel
-    row_total = np.empty(m)
-    dist = np.empty((rows, m), dtype=np.float32)  # rows lo:hi of the matrix
-    for lo in range(0, m, rows):
-        lo = min(lo, m - rows)
+    # A strip holds rows lo:hi of the strict upper triangle U of the distance
+    # matrix D, from its diagonal rightwards. sel.T D sel = 2 sel.T U sel, and
+    # sel.T D 1 = sel.T U 1 + 1.T U sel.
+    lower = np.tri(rows, dtype=bool)
+    buf = np.empty(rows * padded, dtype=np.float32)
+    inner = np.zeros(n_permutations + 2)  # sel.T U sel; last entry 1.T U 1
+    outer = np.zeros(n_permutations + 2)  # sel.T U 1 + 1.T U sel
+    for lo in range(0, padded, rows):
         hi = lo + rows
-        np.matmul(pooled[lo:hi], pooled.T, out=dist)
-        dist *= -2.0
-        dist += sq[lo:hi, None]
-        dist += sq[None, :]
+        dist = buf[: rows * (padded - lo)].reshape(rows, padded - lo)
+        np.matmul(left[lo:hi], right[lo:].T, out=dist)
         np.maximum(dist, 0.0, out=dist)
         np.sqrt(dist, out=dist)
-        np.fill_diagonal(dist[:, lo:hi], 0.0)
-        np.matmul(dist, sel, out=reach[lo:hi])
-        row_total[lo:hi] = dist.sum(axis=1, dtype=np.float64)
+        dist[:, :rows][lower] = 0.0
+        dist[:, m - lo:] = 0.0
+        reach = dist @ sel[lo:]
+        inner += np.einsum("rj,rj->j", sel[lo:hi], reach, dtype=np.float64)
+        outer += np.einsum("rj,r->j", sel[lo:hi], reach[:, -1], dtype=np.float64)
+        outer += reach.sum(axis=0, dtype=np.float64)
 
-    sel64 = sel.astype(np.float64)
-    reach64 = reach.astype(np.float64)
-    total = float(row_total.sum())
-    sum_xx = np.einsum("mj,mj->j", sel64, reach64)
-    sum_cross = sel64.T @ row_total - sum_xx
+    total = 2.0 * inner[-1]
+    sum_xx = 2.0 * inner[:-1]
+    sum_cross = outer[:-1] - sum_xx
     sum_yy = total - 2.0 * sum_cross - sum_xx
     stats = (
         2.0 * sum_cross / (na * nb)

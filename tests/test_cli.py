@@ -1,8 +1,5 @@
 import json
-import os
 import re
-import subprocess
-import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -719,36 +716,25 @@ def test_readme_config_parses(tmp_path, monkeypatch, stem):
     assert not out.exists()
 
 
-def _fresh_python(code: str) -> str:
-    """stdout of code run in a fresh interpreter: this process has already
-    imported whatever the other tests pulled in."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    return proc.stdout.strip()
-
-
-def test_cli_import_skips_scipy_spatial():
+def test_cli_import_skips_scipy_spatial(fresh_python):
     code = ("import sys, coupled_sampler.cli; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
-    assert _fresh_python(code) == "[]"
+    assert fresh_python(code) == "[]"
 
 
-def test_cli_import_loads_only_flapack_from_scipy_linalg():
+def test_cli_import_loads_only_flapack_from_scipy_linalg(fresh_python):
     code = ("import sys, coupled_sampler.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
             "(['scipy', 'linalg'], ['numpy', 'f2py'], ['numpy', 'testing'])))")
-    assert _fresh_python(code) == "['scipy.linalg._flapack']"
+    assert fresh_python(code) == "['scipy.linalg._flapack']"
 
 
 @pytest.mark.parametrize("first, second", [
     ("coupled_sampler.models", "scipy.linalg.lapack"),
     ("scipy.linalg.lapack", "coupled_sampler.models"),
 ], ids=["package_first", "scipy_first"])
-def test_dtrtrs_is_scipy_lapack_dtrtrs(first, second):
+def test_dtrtrs_is_scipy_lapack_dtrtrs(first, second, fresh_python):
     code = (f"import sys, {first}, {second}; "
             "print(sys.modules['scipy.linalg.lapack'].dtrtrs "
             "is sys.modules['coupled_sampler.models'].dtrtrs)")
-    assert _fresh_python(code) == "True"
+    assert fresh_python(code) == "True"

@@ -102,7 +102,6 @@ _SCHEDULE_SCHEMA = {
 
 _SAMPLER_SCHEMA = {
     "kind": (False, _as_is),
-    "variance_rule": (False, _as_is),
     "record_trajectory": (False, _as_bool),
     "step_subset": (False, _as_list(_json_int)),
 }
@@ -311,10 +310,9 @@ def _couple_reports(result, gmm_a, gmm_b, scene, reference, n, seed):
         reports.append(
             MetricReport("nll-a", gmm_nll(gmm_a, result.batch_a), sample_count=n, seed=seed)
         )
-    if gmm_b is not None:
-        reports.append(
-            MetricReport("nll-b", gmm_nll(gmm_b, result.batch_b), sample_count=n, seed=seed)
-        )
+    reports.append(
+        MetricReport("nll-b", gmm_nll(gmm_b, result.batch_b), sample_count=n, seed=seed)
+    )
     if scene is not None:
         for label, batch in (("a", result.batch_a), ("b", result.batch_b)):
             reports.append(MetricReport(

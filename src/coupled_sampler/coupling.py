@@ -10,8 +10,8 @@ partner estimate treated as a constant. The default scale_t is the exact
 Gaussian posterior-tilt factor (see guidance_scale). Under it each chain
 samples its own density tilted by the coupling energy, but only for
 unit-covariance Gaussian targets; mixture pairs end measurably off the
-tilted pair density. Two cruder schedule-level factors are kept for
-ablation. With lam = 0 the guidance branch is skipped entirely and a
+tilted pair density. One cruder schedule-level factor, "alpha_bar_prev", is
+kept for ablation. With lam = 0 the guidance branch is skipped entirely and a
 coupled run is bit-for-bit two independent runs under the derived per-chain
 seeds.
 
@@ -45,7 +45,7 @@ from .sampler import (
 )
 from .schedule import NoiseSchedule
 
-GUIDANCE_RULES = ("posterior_tilt", "alpha_bar_prev", "alpha_t")
+GUIDANCE_RULES = ("posterior_tilt", "alpha_bar_prev")
 DEFAULT_GUIDANCE_RULE = "posterior_tilt"
 
 
@@ -107,10 +107,10 @@ def guidance_scale(schedule: NoiseSchedule, t: int, t_next: int, rule: str,
         beta_t sqrt(alpha_bar_{t-1}) / (1 + 2 lam (1 - alpha_bar_t)) * grad U.
 
     Chains following it sample the coupling-tilted pair density essentially
-    exactly for unit-covariance Gaussian targets. The two cruder
-    schedule-level factors sqrt(1 - alpha_bar_{t-1}) and sqrt(1 - alpha_t)
-    are kept for ablation; at a few hundred steps their accumulated pull
-    dwarfs the model's own drift and the chains collapse onto each other.
+    exactly for unit-covariance Gaussian targets. "alpha_bar_prev", the
+    cruder schedule-level factor sqrt(1 - alpha_bar_{t-1}), is kept for
+    ablation; at a few hundred steps its accumulated pull dwarfs the model's
+    own drift and the chains collapse onto each other.
 
     Guidance is suppressed on the final jump (t_next = 0) so the run always
     ends on each chain's own clean estimate.
@@ -118,12 +118,10 @@ def guidance_scale(schedule: NoiseSchedule, t: int, t_next: int, rule: str,
     if t_next == 0:
         return 0.0
     if rule == "posterior_tilt":
-        ab_t, ab_next, beta_eff, _ = step_coefficients(schedule, t, t_next, "beta")
+        ab_t, ab_next, beta_eff = step_coefficients(schedule, t, t_next)
         return beta_eff * math.sqrt(ab_next) / (1.0 + 2.0 * lam * (1.0 - ab_t))
     if rule == "alpha_bar_prev":
         return math.sqrt(1.0 - schedule.alpha_bar_at(t_next))
-    if rule == "alpha_t":
-        return math.sqrt(1.0 - schedule.alpha_at(t))
     raise ValueError(f"unknown guidance_scale_rule {rule!r}")
 
 

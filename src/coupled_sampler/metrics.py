@@ -209,6 +209,8 @@ def consistency_residual(samples, n_views: int, view_dim: int):
         raise ValueError(
             f"last axis is {x.shape[-1]}, expected n_views*view_dim = {n_views * view_dim}"
         )
+    if not np.isfinite(x).all():
+        raise ValueError("samples: holds non-finite values")
     views = x.reshape(x.shape[:-1] + (n_views, view_dim))
     count = 0
     acc = np.zeros(x.shape[:-1])
@@ -236,7 +238,6 @@ class SweepPoint:
 class SweepSummary:
     distance_non_increasing: bool
     nll_non_decreasing_after_drop: bool
-    half_drop_index: int | None
 
 
 def sweep_summary(points: list[SweepPoint]) -> SweepSummary:
@@ -269,5 +270,4 @@ def sweep_summary(points: list[SweepPoint]) -> SweepSummary:
     return SweepSummary(
         distance_non_increasing=distance_ok,
         nll_non_decreasing_after_drop=nll_ok,
-        half_drop_index=drop_idx,
     )

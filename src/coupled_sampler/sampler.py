@@ -1,16 +1,19 @@
 """Single-chain reverse-diffusion sampling.
 
-The ancestral step uses the variance-consistent mean
+The ancestral step uses the variance-consistent mean and the variance
+sigma_t^2 = beta_t:
 
     x_{t-1} = (x_t - beta_t / sqrt(1 - alpha_bar_t) * eps_hat) / sqrt(alpha_t)
-            + sigma_t z
+            + sqrt(beta_t) z
 
-which is algebraically identical to the clean-estimate composition
-sqrt(alpha_bar_{t-1}) x0_hat + sqrt(1 - alpha_bar_{t-1} - sigma_t^2) eps_hat
-+ sigma_t z when sigma_t is the posterior choice. Composing with the full
+sigma_t^2 = beta_t is the exact reverse-kernel variance for unit-covariance
+Gaussian targets. On the preset mixtures at T = 200 it was measurably
+tighter than the point-posterior choice
+beta_t (1 - alpha_bar_{t-1}) / (1 - alpha_bar_t), which under-disperses
+smooth targets by a few percent and is not offered. Composing with the full
 sqrt(1 - alpha_bar_{t-1}) epsilon coefficient and then adding noise on top
 does not preserve the forward marginals (the injected variance is never
-removed), so that form is not offered.
+removed), so that form is not offered either.
 
 The deterministic step drops the noise and keeps the full coefficient:
 x_{t-1} = sqrt(alpha_bar_{t-1}) x0_hat + sqrt(1 - alpha_bar_{t-1}) eps_hat.
@@ -39,12 +42,6 @@ from .rng import STREAM_INIT, STREAM_STEP, NoiseStream
 from .schedule import NoiseSchedule
 
 KINDS = ("ancestral", "deterministic")
-VARIANCE_RULES = ("beta", "beta_tilde")
-# "beta" (sigma_t = sqrt(beta_t)) is the exact reverse-kernel variance for
-# unit-covariance Gaussian targets and measurably tighter on the preset
-# mixtures at T = 200; "beta_tilde" is the point-posterior choice and
-# under-disperses smooth targets by a few percent at this step count.
-DEFAULT_VARIANCE_RULE = "beta"
 
 # Rows x d of one step chunk. Its copies share a model call per chain, and
 # its temporaries bound the step's memory. The coupled bench (five-lambda
@@ -57,17 +54,12 @@ _CHUNK_ELEMENTS = 20480
 @dataclass(frozen=True)
 class SamplerConfig:
     kind: str = "ancestral"
-    variance_rule: str = DEFAULT_VARIANCE_RULE
     record_trajectory: bool = False
     step_subset: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.variance_rule not in VARIANCE_RULES:
-            raise ValueError(
-                f"variance_rule must be one of {VARIANCE_RULES}, got {self.variance_rule!r}"
-            )
         if self.step_subset is not None:
             object.__setattr__(
                 self, "step_subset", tuple(int(t) for t in self.step_subset)
@@ -87,7 +79,9 @@ class SamplerConfig:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "variance_rule": self.variance_rule,
+            # sigma_t^2 = beta_t is the only reverse-step variance; the key
+            # stays so that fingerprints and run.json files keep their bytes.
+            "variance_rule": "beta",
             "record_trajectory": self.record_trajectory,
             "step_subset": list(self.step_subset) if self.step_subset else None,
         }
@@ -122,22 +116,15 @@ def x0_from_epsilon(x_t, eps_hat, alpha_bar_t: float):
     return (x_t - math.sqrt(1.0 - alpha_bar_t) * eps_hat) / math.sqrt(alpha_bar_t)
 
 
-def step_coefficients(schedule: NoiseSchedule, t: int, t_next: int, variance_rule: str):
-    """(ab_t, ab_next, beta_eff, sigma) for the jump t -> t_next (t_next >= 1)."""
+def step_coefficients(schedule: NoiseSchedule, t: int, t_next: int):
+    """(ab_t, ab_next, beta_eff) for the jump t -> t_next (t_next >= 1)."""
     ab_t = schedule.alpha_bar_at(t)
     ab_next = schedule.alpha_bar_at(t_next)
     beta_eff = schedule.beta_at(t) if t_next == t - 1 else 1.0 - ab_t / ab_next
-    if variance_rule == "beta":
-        var = beta_eff
-    elif variance_rule == "beta_tilde":
-        var = beta_eff * (1.0 - ab_next) / (1.0 - ab_t)
-    else:
-        raise ValueError(f"unknown variance_rule {variance_rule!r}")
-    return ab_t, ab_next, beta_eff, math.sqrt(var)
+    return ab_t, ab_next, beta_eff
 
 
-def _step(x_t, eps_hat, z, schedule: NoiseSchedule, t: int, t_next: int,
-          kind: str, variance_rule: str = DEFAULT_VARIANCE_RULE):
+def _step(x_t, eps_hat, z, schedule: NoiseSchedule, t: int, t_next: int, kind: str):
     """The reverse-step kernel: (x0_hat, x_{t_next}) for one chain.
 
     z is the ancestral noise block, unused when kind is "deterministic" or
@@ -149,9 +136,9 @@ def _step(x_t, eps_hat, z, schedule: NoiseSchedule, t: int, t_next: int,
     if kind == "deterministic":
         ab_next = schedule.alpha_bar_at(t_next)
         return x0, math.sqrt(ab_next) * x0 + math.sqrt(1.0 - ab_next) * eps_hat
-    ab_t, _, beta_eff, sigma = step_coefficients(schedule, t, t_next, variance_rule)
+    ab_t, _, beta_eff = step_coefficients(schedule, t, t_next)
     mean = (x_t - beta_eff / math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(1.0 - beta_eff)
-    return x0, mean + sigma * z
+    return x0, mean + math.sqrt(beta_eff) * z
 
 
 def config_fingerprint(model: ScoreModel, schedule: NoiseSchedule,
@@ -212,7 +199,7 @@ def _run_chains(models, streams, names, schedule: NoiseSchedule, steps,
                     raise RuntimeError(
                         f"{name}: model evaluation failed at step {t}") from exc
             x0s, nxts = zip(*(
-                _step(x, e, z, schedule, t, t_next, config.kind, config.variance_rule)
+                _step(x, e, z, schedule, t, t_next, config.kind)
                 for x, e, z in zip(xs, eps, zs)
             ))
             if config.record_trajectory:

@@ -78,22 +78,15 @@ class NoiseSchedule:
         return int(self.beta.size)
 
     def beta_at(self, t: int) -> float:
-        self._check_step(t)
+        if not 1 <= t <= self.num_steps:
+            raise ValueError(f"step {t} outside 1..{self.num_steps}")
         return float(self.beta[t - 1])
-
-    def alpha_at(self, t: int) -> float:
-        self._check_step(t)
-        return float(self.alpha[t - 1])
 
     def alpha_bar_at(self, t: int) -> float:
         """alpha_bar_t for t in 0..T, with alpha_bar_0 = 1."""
         if not 0 <= t <= self.num_steps:
             raise ValueError(f"step {t} outside 0..{self.num_steps}")
         return 1.0 if t == 0 else float(self.alpha_bar[t - 1])
-
-    def _check_step(self, t: int) -> None:
-        if not 1 <= t <= self.num_steps:
-            raise ValueError(f"step {t} outside 1..{self.num_steps}")
 
     def log_snr(self) -> np.ndarray:
         ab = self.alpha_bar

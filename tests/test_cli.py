@@ -9,8 +9,10 @@ import pytest
 from coupled_sampler import cli, presets, verify
 from coupled_sampler.cli import main
 from coupled_sampler.config import ConfigError
+from coupled_sampler.coupling import GUIDANCE_RULES
 from coupled_sampler.metrics import MetricReport
 from coupled_sampler.presets import load_preset, resolve_gmm, resolve_pair, resolve_scene
+from coupled_sampler.sampler import KINDS
 from coupled_sampler.schedule import build_linear, schedule_to_json
 from coupled_sampler.verify import VerifyCheck
 
@@ -385,6 +387,9 @@ def _tiny_shift(doc):
     ("sample", _one_dim_svg, "svg: a scatter plot needs two dimensions, the model has 1"),
     ("couple", _one_dim_svg, "svg: a scatter plot needs two dimensions, the model has 1"),
     ("sweep", _sweep_svg, "svg: unknown key"),
+    ("sample", _set_sampler(variance_rule="beta"), "sampler.variance_rule: unknown key"),
+    ("couple", _set_coupling(**{"lambda": 1.0, "guidance_scale_rule": "alpha_t"}),
+     "coupling: guidance_scale_rule must be one of ('posterior_tilt', 'alpha_bar_prev')"),
 ], ids=["subset_not_from_T", "subset_repeats", "ramp_couple", "noise_policy_sweep",
         "negative_grid", "seed_past_u64", "sample_one_point", "noiseless_first_step",
         "shift_too_small", "reference_inf", "reference_nan", "reference_bool",
@@ -395,7 +400,8 @@ def _tiny_shift(doc):
         "scene_unknown_key", "pair_missing_model_b", "pair_model_b_string_weight",
         "scene_wrong_kind", "scene_over_joint_cap", "scene_one_view", "scene_zero_jitter",
         "scene_view_dim_mismatch", "couple_trajectory", "sweep_trajectory",
-        "sample_svg_one_dim", "couple_svg_one_dim", "sweep_svg"])
+        "sample_svg_one_dim", "couple_svg_one_dim", "sweep_svg", "variance_rule_removed",
+        "alpha_t_rule_removed"])
 def test_bad_value_rejected_before_output(tmp_path, capsys, command, mutate, key):
     doc = sample_config() if command == "sample" else couple_config()
     mutate(doc)
@@ -449,7 +455,7 @@ def test_guidance_overflow_names_guidance(tmp_path, capsys):
     # a huge finite lambda overflows the guidance increment in the first step
     doc = couple_config(n=4)
     doc["schedule"]["num_steps"] = 20
-    doc["coupling"] = {"lambda": 1e308, "guidance_scale_rule": "alpha_t"}
+    doc["coupling"] = {"lambda": 1e308, "guidance_scale_rule": "alpha_bar_prev"}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "o"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -714,6 +720,20 @@ def test_readme_config_parses(tmp_path, monkeypatch, stem):
     with pytest.raises(_Reached):
         main([command, "--config", cfg, "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, schema, values", [
+    ("sampler", cli._SAMPLER_SCHEMA, KINDS),
+    ("coupling", cli._COUPLING_SCHEMA, GUIDANCE_RULES),
+])
+def test_readme_names_every_key_and_value(section, schema, values):
+    # the bullet's first sentence lists the keys, and its values in parentheses
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    bullet = re.search(rf"^- `{section}`: (.*?)\.(?:\s|$)", readme, re.M | re.S).group(1)
+    in_parens = "".join(re.findall(r"\(.*?\)", bullet, re.S))
+    keys = re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", bullet, flags=re.S))
+    assert sorted(keys) == sorted(schema)
+    assert sorted(re.findall(r"`(\w+)`", in_parens)) == sorted(values)
 
 
 def test_cli_import_skips_scipy_spatial(fresh_python):

@@ -99,7 +99,7 @@ class TestEnergyAndGradient:
 class TestGuidanceScale:
     def test_final_jump_suppressed(self):
         sched = short_schedule()
-        for rule in ("posterior_tilt", "alpha_bar_prev", "alpha_t"):
+        for rule in ("posterior_tilt", "alpha_bar_prev"):
             assert guidance_scale(sched, 1, 0, rule, 1.0) == 0.0
 
     def test_spec_rules(self):
@@ -107,9 +107,6 @@ class TestGuidanceScale:
         t = 30
         assert guidance_scale(sched, t, t - 1, "alpha_bar_prev") == pytest.approx(
             math.sqrt(1 - sched.alpha_bar_at(t - 1))
-        )
-        assert guidance_scale(sched, t, t - 1, "alpha_t") == pytest.approx(
-            math.sqrt(sched.beta_at(t))
         )
 
     def test_posterior_tilt_form(self):
@@ -170,10 +167,9 @@ class TestCoupledSample:
 
     @pytest.mark.parametrize("cfg", [
         SamplerConfig(kind="deterministic"),
-        SamplerConfig(variance_rule="beta_tilde"),
         SamplerConfig(step_subset=(60, 45, 31, 20, 8, 3, 1)),
         SamplerConfig(record_trajectory=True),
-    ], ids=["deterministic", "beta_tilde", "step_subset", "record_trajectory"])
+    ], ids=["deterministic", "step_subset", "record_trajectory"])
     def test_lambda_zero_reduction_bitwise_variants(self, cfg):
         assert_lambda_zero_reduction(cfg)
 

@@ -272,6 +272,21 @@ class TestConsistencyResidual:
         with pytest.raises(ValueError):
             consistency_residual(np.zeros(7), 3, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(4,), (5, 4), (2, 3, 4)])
+    def test_non_finite_samples_rejected(self, bad, shape):
+        x = np.zeros(shape)
+        x.flat[-1] = bad
+        with pytest.raises(ValueError, match="samples: holds non-finite values"):
+            consistency_residual(x, 2, 2)
+
+    def test_leading_shape_kept_bitwise(self):
+        x = np.random.default_rng(13).normal(size=(24, 6))
+        flat = consistency_residual(x, 3, 2)
+        assert np.array_equal(consistency_residual(x.reshape(4, 6, 6), 3, 2),
+                              flat.reshape(4, 6))
+        assert consistency_residual(x[5], 3, 2) == flat[5]
+
 
 class TestMetricReport:
     def test_threshold_pass_logic(self):
@@ -306,13 +321,11 @@ class TestSweepSummary:
         s = sweep_summary(self.rows([2.0, 2.0, 2.0], [1.0, 1.0, 1.0]))
         assert s.distance_non_increasing
         assert s.nll_non_decreasing_after_drop
-        assert s.half_drop_index is None
 
     def test_decreasing_with_rising_nll(self):
         s = sweep_summary(self.rows([4.0, 2.0, 1.0, 0.5], [1.0, 1.2, 1.5, 2.0]))
         assert s.distance_non_increasing
         assert s.nll_non_decreasing_after_drop
-        assert s.half_drop_index == 1
 
     def test_hard_inversion_fails(self):
         s = sweep_summary(self.rows([4.0, 2.0, 3.0], [1.0, 1.0, 1.0]))
@@ -325,6 +338,13 @@ class TestSweepSummary:
     def test_nll_drop_after_half_fails(self):
         s = sweep_summary(self.rows([4.0, 1.0, 0.5], [2.0, 2.0, 1.0]))
         assert not s.nll_non_decreasing_after_drop
+
+    def test_nll_checked_only_from_half_drop(self):
+        # the median first halves at index 2, so the NLL fall before it is free
+        s = sweep_summary(self.rows([4.0, 3.0, 2.0, 1.0], [3.0, 2.0, 2.0, 2.5]))
+        assert s.nll_non_decreasing_after_drop
+        s = sweep_summary(self.rows([4.0, 3.5, 3.0], [3.0, 2.0, 1.0]))
+        assert s.nll_non_decreasing_after_drop
 
     def test_requires_three_increasing_lambdas(self):
         with pytest.raises(ValueError):

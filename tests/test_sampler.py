@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coupled_sampler.models import Gmm, GmmScoreModel
+from coupled_sampler.presets import resolve_gmm
 from coupled_sampler.sampler import (
     SamplerConfig,
     _step,
@@ -62,7 +63,7 @@ class TestSteps:
     def test_ancestral_mean_hand_case(self):
         # (x - beta_2 / sqrt(1 - ab_2) eps) / sqrt(alpha_2), frozen arithmetic
         _, out = _step(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2), self.sched,
-                       2, 1, "ancestral", variance_rule="beta_tilde")
+                       2, 1, "ancestral")
         assert out == pytest.approx([1.118033988749895, -0.4225771273642583], rel=1e-12)
 
     def test_deterministic_hand_case(self):
@@ -74,12 +75,9 @@ class TestSteps:
     def test_variance_rules_scale_noise(self):
         x, eps = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         zeros, ones = np.zeros(2), np.ones(2)
-        base = _step(x, eps, zeros, self.sched, 2, 1, "ancestral", "beta")[1]
-        beta_out = _step(x, eps, ones, self.sched, 2, 1, "ancestral", "beta")[1]
-        tilde_out = _step(x, eps, ones, self.sched, 2, 1, "ancestral", "beta_tilde")[1]
+        base = _step(x, eps, zeros, self.sched, 2, 1, "ancestral")[1]
+        beta_out = _step(x, eps, ones, self.sched, 2, 1, "ancestral")[1]
         assert beta_out - base == pytest.approx(math.sqrt(0.2) * np.ones(2), rel=1e-12)
-        sigma_tilde = math.sqrt(0.2 * (1 - 0.9) / (1 - 0.72))
-        assert tilde_out - base == pytest.approx(sigma_tilde * np.ones(2), rel=1e-12)
 
     def test_ddim_is_deterministic(self):
         x = np.random.default_rng(1).normal(size=(4, 2))
@@ -98,8 +96,6 @@ class TestSamplerConfig:
     def test_rejects_unknown_tokens(self):
         with pytest.raises(ValueError):
             SamplerConfig(kind="euler")
-        with pytest.raises(ValueError):
-            SamplerConfig(variance_rule="posterior")
 
     def test_step_subset_validation(self):
         sched = build_linear(10, 0.01, 0.2)
@@ -185,6 +181,15 @@ class TestSample:
             gaussian_model(np.array([1.0, 0.0])), sched, SamplerConfig()
         )
         assert len({base, other_cfg, other_model}) == 3
+
+    @pytest.mark.parametrize("cfg, expected", [
+        (SamplerConfig(), "52c7839c5d2fd330"),
+        (SamplerConfig(kind="deterministic", record_trajectory=True), "1dd3f4b18daacde4"),
+    ], ids=["readme_run", "deterministic_trajectory"])
+    def test_fingerprint_pinned(self, cfg, expected):
+        # run.json carries this fingerprint, so its bytes pin the sampler's to_dict
+        model = GmmScoreModel(resolve_gmm("bimodal-2d"))
+        assert config_fingerprint(model, build_linear(200, 1e-4, 0.115), cfg) == expected
 
     def test_model_error_carries_step_context(self):
         class Broken(GmmScoreModel):

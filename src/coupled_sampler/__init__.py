@@ -28,7 +28,6 @@ from .models import (
     GmmVelocityModel,
     MvScene,
     ScoreModel,
-    VelocityModel,
     VelocityWrappedScoreModel,
     gmm_epsilon,
     gmm_flow_log_density,

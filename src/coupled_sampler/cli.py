@@ -70,6 +70,13 @@ def _as_seed(v, loc):
         return _check_seed(v)
 
 
+def _as_lambda(v, loc):
+    v = _json_number(v, loc)
+    with _building(loc):
+        CouplingConfig(lam=v)
+    return v
+
+
 def _as_bool(v, loc):
     if not isinstance(v, bool):
         raise ConfigError(f"{loc}: expected true or false")
@@ -107,40 +114,39 @@ _SAMPLER_SCHEMA = {
 }
 
 _COUPLING_SCHEMA = {
-    "lambda": (False, _json_number),
+    "lambda": (False, _as_lambda),
     "guidance_scale_rule": (False, _as_is),
 }
 
 
-def parse_schedule_cfg(doc, loc="schedule") -> NoiseSchedule:
-    fields = _require(doc, loc, _SCHEDULE_SCHEMA)
-    with _building(loc):
+def parse_schedule_cfg(doc) -> NoiseSchedule:
+    fields = _require(doc, "schedule", _SCHEDULE_SCHEMA)
+    with _building("schedule"):
         sched = build_linear(fields["num_steps"], fields["beta_start"], fields["beta_end"])
     if "shift" in fields:
-        with _building(f"{loc}.shift"):
+        with _building("schedule.shift"):
             sched = shift_schedule(sched, fields["shift"])
     return sched
 
 
-def parse_sampler_cfg(doc, schedule: NoiseSchedule, loc="sampler",
-                      allow_trajectory=True) -> SamplerConfig:
-    fields = _require(doc, loc, _SAMPLER_SCHEMA)
+def parse_sampler_cfg(doc, schedule: NoiseSchedule, allow_trajectory=True) -> SamplerConfig:
+    fields = _require(doc, "sampler", _SAMPLER_SCHEMA)
     if fields.get("record_trajectory") and not allow_trajectory:
-        raise ConfigError(f"{loc}.record_trajectory: only sample writes a trajectory")
-    with _building(loc):
+        raise ConfigError("sampler.record_trajectory: only sample writes a trajectory")
+    with _building("sampler"):
         cfg = SamplerConfig(**fields)
         cfg.steps_for(schedule)
     return cfg
 
 
-def parse_coupling_cfg(doc, loc="coupling", allow_lambda=True) -> CouplingConfig:
+def parse_coupling_cfg(doc, allow_lambda=True) -> CouplingConfig:
     schema = dict(_COUPLING_SCHEMA)
     if not allow_lambda:
         schema.pop("lambda")
-    fields = _require(doc, loc, schema)
+    fields = _require(doc, "coupling", schema)
     if "lambda" in fields:
         fields["lam"] = fields.pop("lambda")
-    with _building(loc):
+    with _building("coupling"):
         return CouplingConfig(**fields)
 
 
@@ -168,7 +174,7 @@ _COUPLE_SCHEMA = {
 
 # a sweep always writes sweep.svg, so it takes no svg key
 _SWEEP_SCHEMA = {k: v for k, v in _COUPLE_SCHEMA.items() if k != "svg"}
-_SWEEP_SCHEMA["lambda_grid"] = (True, _as_list(_json_number))
+_SWEEP_SCHEMA["lambda_grid"] = (True, _as_list(_as_lambda))
 
 
 def _load_config(path: str, seed_override) -> dict:
@@ -206,7 +212,8 @@ def _resolve_couple_models(fields):
     else:
         gmm_a, gmm_b, reference = fields["model_a"], fields["model_b"], {}
     if gmm_a.dim != gmm_b.dim:
-        raise ConfigError("model_b: coupled models must share a dimension")
+        at = "pair: model_b" if "pair" in fields else "model_b"
+        raise ConfigError(f"{at}: coupled models must share a dimension")
     return GmmScoreModel(gmm_a), GmmScoreModel(gmm_b), gmm_a, gmm_b, None, reference
 
 
@@ -382,10 +389,7 @@ def cmd_sweep(args) -> int:
     sched = parse_schedule_cfg(fields["schedule"])
     sampler_cfg = parse_sampler_cfg(fields.get("sampler", {}), sched, allow_trajectory=False)
     base_coupling = parse_coupling_cfg(fields.get("coupling", {}), allow_lambda=False)
-    couplings = []
-    for i, lam in enumerate(grid):
-        with _building(f"lambda_grid[{i}]"):
-            couplings.append(replace(base_coupling, lam=lam))
+    couplings = [replace(base_coupling, lam=lam) for lam in grid]
     n, seed = fields["n"], fields["seed"]
     model_a, model_b, gmm_a, gmm_b, scene, _ = _resolve_couple_models(fields)
     out = _out_path(args)

@@ -28,6 +28,7 @@ chain) are provided for comparison studies.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +48,9 @@ from .schedule import NoiseSchedule
 
 GUIDANCE_RULES = ("posterior_tilt", "alpha_bar_prev")
 DEFAULT_GUIDANCE_RULE = "posterior_tilt"
+# posterior_tilt divides by 1 + 2 lam (1 - alpha_bar_t); past this bound
+# 2 lam overflows to inf, the scale reads 0.0 and the run is silently uncoupled.
+_MAX_LAMBDA = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,9 @@ class CouplingConfig:
     guidance_scale_rule: str = DEFAULT_GUIDANCE_RULE
 
     def __post_init__(self):
-        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
-            raise ValueError("lambda must be finite and non-negative")
+        if not 0.0 <= self.lam <= _MAX_LAMBDA:
+            raise ValueError("lambda must be non-negative and 2 * lambda finite "
+                             f"(at most {_MAX_LAMBDA}), got {self.lam}")
         if self.guidance_scale_rule not in GUIDANCE_RULES:
             raise ValueError(
                 f"guidance_scale_rule must be one of {GUIDANCE_RULES}, "
@@ -96,7 +101,7 @@ def coupling_gradient(x0_self, x0_other, lam: float):
 
 
 def guidance_scale(schedule: NoiseSchedule, t: int, t_next: int, rule: str,
-                   lam: float = 0.0) -> float:
+                   lam: float) -> float:
     """Schedule factor multiplying the coupling gradient at step t.
 
     "posterior_tilt" is the Gaussian evidence tilt: the score correction

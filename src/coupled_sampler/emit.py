@@ -55,7 +55,8 @@ def write_json(path, obj) -> Path:
     return path
 
 
-def _bounds(points: np.ndarray, pad: float = 0.05):
+def _bounds(points: np.ndarray):
+    pad = 0.05  # share of the data range left blank on each side
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
@@ -83,13 +84,14 @@ def _svg_doc(size_w: int, size_h: int, body: list) -> str:
                      + body + ["</svg>"]) + "\n"
 
 
-def scatter_svg(groups, segments=None, size: int = 640) -> str:
+def scatter_svg(groups, segments=None) -> str:
     """Scatter plot of one or more (points, color) groups.
 
     groups: iterable of (points(n, >=2), fill color). Only the first two
     coordinates are drawn. segments, when given, is a pair of equally sized
     point arrays; a light line joins each row.
     """
+    size = 640
     pts = [np.asarray(p, dtype=float)[:, :2] for p, _ in groups]
     stack = np.vstack(pts + ([np.asarray(s, dtype=float)[:, :2] for s in segments]
                              if segments else []))
@@ -107,13 +109,14 @@ def scatter_svg(groups, segments=None, size: int = 640) -> str:
     return _svg_doc(size, size, body)
 
 
-def curves_svg(xs, series, width: int = 640, height: int = 420) -> str:
+def curves_svg(xs, series) -> str:
     """Polyline chart; each named series is normalized to its own range.
 
     series: iterable of (name, values, color). The per-series value range is
     printed in the legend so the curves stay readable without shared axes.
     """
     xs = np.asarray(xs, dtype=float)
+    width, height = 640, 420
     margin = 50.0
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
     x_lo, x_hi = float(xs.min()), float(xs.max())

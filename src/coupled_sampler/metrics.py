@@ -94,21 +94,21 @@ def coupling_distance(batch_a, batch_b) -> CouplingDistanceSummary:
 # rows' entries from the diagonal rightwards, so the buffer for the first and
 # widest strip takes 8 MB at 8192 points.
 _BLOCK_ROWS = 256
+# The test passes when the observed statistic is at most this quantile of the null.
+_NULL_QUANTILE = 0.99
 
 
 @dataclass(frozen=True)
 class EnergyTestResult:
     statistic: float
     null_quantile: float
-    quantile: float
     p_value: float
     passed: bool
     n_permutations: int
 
 
 def energy_permutation_test(cloud_a, cloud_b, rng: np.random.Generator,
-                            n_permutations: int = 200,
-                            quantile: float = 0.99) -> EnergyTestResult:
+                            n_permutations: int = 200) -> EnergyTestResult:
     """Two-sample energy test against a label-permutation null.
 
     The observed statistic and every permuted statistic are computed by the
@@ -188,12 +188,11 @@ def energy_permutation_test(cloud_a, cloud_b, rng: np.random.Generator,
     )
     observed = float(stats[0])
     null = stats[1:]
-    thresh = float(np.quantile(null, quantile))
+    thresh = float(np.quantile(null, _NULL_QUANTILE))
     p_value = float((1 + np.sum(null >= observed)) / (1 + n_permutations))
     return EnergyTestResult(
         statistic=observed,
         null_quantile=thresh,
-        quantile=quantile,
         p_value=p_value,
         passed=observed <= thresh,
         n_permutations=n_permutations,

@@ -418,20 +418,6 @@ class BlockProductModel(ScoreModel):
         return {"kind": "block_product", "blocks": [self.block.describe()] * self.n_blocks}
 
 
-class VelocityModel(ABC):
-    """Flow velocity field v(x, t) under x_t = t x_0 + (1 - t) eps."""
-
-    @property
-    @abstractmethod
-    def dim(self) -> int: ...
-
-    @abstractmethod
-    def velocity(self, x, t_flow: float) -> np.ndarray: ...
-
-    @abstractmethod
-    def describe(self) -> dict: ...
-
-
 def gmm_flow_log_density(g: Gmm, x, t_flow: float):
     """Log density of the flow-interpolation marginal at time t in (0, 1]."""
     t_flow = float(t_flow)
@@ -482,7 +468,9 @@ def score_from_velocity(v, x, t_flow: float):
     return -(-t_flow * v + x) / (1.0 - t_flow)
 
 
-class GmmVelocityModel(VelocityModel):
+class GmmVelocityModel:
+    """Flow velocity field v(x, t) of a mixture under x_t = t x_0 + (1 - t) eps."""
+
     def __init__(self, gmm: Gmm):
         self.gmm = gmm
         self._levels = {}  # t_flow -> (_Level, t_flow * covariances), built on first use
@@ -508,7 +496,7 @@ class VelocityWrappedScoreModel(ScoreModel):
         eps_hat(x) = -sqrt(1 - alpha_bar) * c * s(x'),  c = t_flow / sqrt(alpha_bar)
     """
 
-    def __init__(self, vm: VelocityModel):
+    def __init__(self, vm: GmmVelocityModel):
         self.vm = vm
 
     @property
@@ -554,15 +542,6 @@ class MvScene:
         for key, g in (("latent", self.latent_gmm), ("edit", self.edit_gmm)):
             if g.dim != self.view_dim:
                 raise ValueError(f"{key}: dimension {g.dim} differs from view_dim {self.view_dim}")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_views": self.n_views,
-            "view_dim": self.view_dim,
-            "jitter": float(self.jitter),
-            "latent": self.latent_gmm.to_dict(),
-            "edit": self.edit_gmm.to_dict(),
-        }
 
     @classmethod
     def from_dict(cls, doc) -> "MvScene":

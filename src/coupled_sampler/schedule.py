@@ -228,9 +228,9 @@ def align_schedules(source: NoiseSchedule, target: NoiseSchedule) -> ScheduleAli
     )
 
 
-def snr_log_grid(lo: float = 1e-3, hi: float = 1e3, count: int = 61) -> np.ndarray:
-    """Log-spaced sigma grid used by the conversion round-trip checks."""
-    return np.exp(np.linspace(math.log(lo), math.log(hi), count))
+def snr_log_grid() -> np.ndarray:
+    """61 log-spaced sigmas from 1e-3 to 1e3, for the conversion round-trip checks."""
+    return np.exp(np.linspace(math.log(1e-3), math.log(1e3), 61))
 
 
 def schedule_to_json(sched: NoiseSchedule) -> str:

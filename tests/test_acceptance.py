@@ -67,9 +67,7 @@ def test_c1_sampler_fidelity(sched):
         for seed in FIDELITY_SEEDS:
             batch = sample(model, sched, SamplerConfig(), seed, 4096)
             exact = gmm_sample(gmm, 4096, generator(seed, 101))
-            test = energy_permutation_test(
-                batch.samples, exact, generator(seed, 102), quantile=0.99
-            )
+            test = energy_permutation_test(batch.samples, exact, generator(seed, 102))
             passes += test.passed
         elapsed = time.time() - start
         results.append((name, passes, elapsed))

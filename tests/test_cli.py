@@ -320,9 +320,11 @@ def _seed_past_u64(doc):
     doc["seed"] = 2**64
 
 
-def _negative_grid(doc):
-    del doc["coupling"]
-    doc["lambda_grid"] = [-1.0, 1.0, 2.0]
+def _grid(*lambdas):
+    def mutate(doc):
+        del doc["coupling"]
+        doc["lambda_grid"] = list(lambdas)
+    return mutate
 
 
 def _one_point(doc):
@@ -344,7 +346,7 @@ def _tiny_shift(doc):
      "coupling.lambda_ramp: unknown key"),
     ("sweep", _set_coupling(sweep=True, noise_policy="shared"),
      "coupling.noise_policy: unknown key"),
-    ("sweep", _negative_grid, "lambda_grid"),
+    ("sweep", _grid(-1.0, 1.0, 2.0), "lambda_grid"),
     ("sample", _seed_past_u64, "seed"),
     ("sample", _one_point, "n: must be >= 2"),
     ("sample", _noiseless_first_step, "schedule: alpha_bar must be strictly decreasing"),
@@ -390,6 +392,13 @@ def _tiny_shift(doc):
     ("sample", _set_sampler(variance_rule="beta"), "sampler.variance_rule: unknown key"),
     ("couple", _set_coupling(**{"lambda": 1.0, "guidance_scale_rule": "alpha_t"}),
      "coupling: guidance_scale_rule must be one of ('posterior_tilt', 'alpha_bar_prev')"),
+    # past float max / 2, 2 * lambda overflows and posterior_tilt's scale reads 0.0
+    ("couple", _set_coupling(**{"lambda": 1e308}),
+     "coupling.lambda: lambda must be non-negative and 2 * lambda finite"),
+    ("sweep", _grid(0.0, 1e10, 1e300, 1e308),
+     "lambda_grid[3]: lambda must be non-negative and 2 * lambda finite"),
+    ("couple", _set_pair(model_b=_ONE_DIM),
+     "pair: model_b: coupled models must share a dimension"),
 ], ids=["subset_not_from_T", "subset_repeats", "ramp_couple", "noise_policy_sweep",
         "negative_grid", "seed_past_u64", "sample_one_point", "noiseless_first_step",
         "shift_too_small", "reference_inf", "reference_nan", "reference_bool",
@@ -401,7 +410,8 @@ def _tiny_shift(doc):
         "scene_wrong_kind", "scene_over_joint_cap", "scene_one_view", "scene_zero_jitter",
         "scene_view_dim_mismatch", "couple_trajectory", "sweep_trajectory",
         "sample_svg_one_dim", "couple_svg_one_dim", "sweep_svg", "variance_rule_removed",
-        "alpha_t_rule_removed"])
+        "alpha_t_rule_removed", "lambda_overflows", "grid_lambda_overflows",
+        "pair_dimension_mismatch"])
 def test_bad_value_rejected_before_output(tmp_path, capsys, command, mutate, key):
     doc = sample_config() if command == "sample" else couple_config()
     mutate(doc)
@@ -455,7 +465,7 @@ def test_guidance_overflow_names_guidance(tmp_path, capsys):
     # a huge finite lambda overflows the guidance increment in the first step
     doc = couple_config(n=4)
     doc["schedule"]["num_steps"] = 20
-    doc["coupling"] = {"lambda": 1e308, "guidance_scale_rule": "alpha_bar_prev"}
+    doc["coupling"] = {"lambda": 8e307, "guidance_scale_rule": "alpha_bar_prev"}
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "o"
     with np.errstate(over="ignore", invalid="ignore"):

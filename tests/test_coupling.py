@@ -105,7 +105,7 @@ class TestGuidanceScale:
     def test_spec_rules(self):
         sched = short_schedule()
         t = 30
-        assert guidance_scale(sched, t, t - 1, "alpha_bar_prev") == pytest.approx(
+        assert guidance_scale(sched, t, t - 1, "alpha_bar_prev", 1.0) == pytest.approx(
             math.sqrt(1 - sched.alpha_bar_at(t - 1))
         )
 
@@ -122,7 +122,7 @@ class TestGuidanceScale:
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
-            guidance_scale(short_schedule(), 5, 4, "classifier")
+            guidance_scale(short_schedule(), 5, 4, "classifier", 1.0)
 
 
 class TestCouplingConfig:

@@ -11,14 +11,15 @@ Gaussian posterior-tilt factor (see guidance_scale). Under it each chain
 samples its own density tilted by the coupling energy, but only for
 unit-covariance Gaussian targets; mixture pairs end measurably off the
 tilted pair density. One cruder schedule-level factor, "alpha_bar_prev", is
-kept for ablation. With lam = 0 the guidance branch is skipped entirely and a
-coupled run is bit-for-bit two independent runs under the derived per-chain
-seeds.
+kept for ablation.
 
 A sweep over lambda is one coupled run (coupled_sweep): each chain holds
 one copy of its points per lambda, draws x_T and each step's noise once for
 all of them, and steps them in bounded chunks of whole copies. Copy l is bit
-for bit the single-lambda run, which is the one-element case.
+for bit the single-lambda run, which is the one-element case. Once per
+chunk, _guidance moves chain A by scale_t * grad U and chain B by its exact
+negative. A copy with lam = 0 keeps its bits, so a lam = 0 run is bit for
+bit two independent runs under the derived per-chain seeds.
 
 A score-averaging single-chain baseline and a multi-view editing demo
 (independent per-view edit chain coupled to a shared-latent consistent
@@ -29,11 +30,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import consistency_residual
 from .models import MvScene, ScoreModel, mv_chain_models
 from .rng import CHAIN_A, CHAIN_B, NoiseStream, derive_seed
 from .sampler import (
@@ -75,8 +75,6 @@ class CoupledRunResult:
     batch_b: SampleBatch
     coupling_series: np.ndarray  # per-step mean ||x0_hat_a - x0_hat_b||
     series_steps: np.ndarray
-    residuals_a: np.ndarray | None = None  # per-sample view residuals (scenes)
-    residuals_b: np.ndarray | None = None
 
 
 def coupling_energy(x, x_prime, lam: float):
@@ -91,13 +89,14 @@ def coupling_energy(x, x_prime, lam: float):
     return float(out) if out.ndim == 0 else out
 
 
-def coupling_gradient(x0_self, x0_other, lam: float):
-    """Gradient of the coupling energy in its first argument: -lam (x - x')."""
+def coupling_gradient(x0_self, x0_other, lam):
+    """Gradient of the coupling energy in its first argument: -lam (x - x');
+    lam may be an array that broadcasts against the points."""
     x0_self = np.asarray(x0_self, dtype=np.float64)
     x0_other = np.asarray(x0_other, dtype=np.float64)
     if x0_self.shape != x0_other.shape:
         raise ValueError("coupled points must share a shape")
-    return -float(lam) * (x0_self - x0_other)
+    return -np.asarray(lam, dtype=np.float64) * (x0_self - x0_other)
 
 
 def guidance_scale(schedule: NoiseSchedule, t: int, t_next: int, rule: str,
@@ -130,17 +129,21 @@ def guidance_scale(schedule: NoiseSchedule, t: int, t_next: int, rule: str,
     raise ValueError(f"unknown guidance_scale_rule {rule!r}")
 
 
-def _guidance(coupling: CouplingConfig, schedule: NoiseSchedule, t: int, t_next: int,
-              x0_a, x0_b):
-    """Per-chain guidance increments for the jump t -> t_next, or None."""
-    lam = coupling.lam
-    if lam == 0.0:
-        return None
-    scale = guidance_scale(schedule, t, t_next, coupling.guidance_scale_rule, lam)
-    if scale == 0.0:
-        return None
-    return (scale * coupling_gradient(x0_a, x0_b, lam),
-            scale * coupling_gradient(x0_b, x0_a, lam))
+def _guidance(couplings, schedule: NoiseSchedule, t: int, t_next: int, x0s, xs) -> bool:
+    """Move the fresh states xs of chains A and B, (copies, n, d) each with
+    copy l under couplings[l], by inc = scale * grad U(x0_a, x0_b) and -inc
+    in place. A copy whose scale is 0 (lam = 0, or the final jump) keeps its
+    bits. Returns whether any copy moved."""
+    scale = np.array([
+        guidance_scale(schedule, t, t_next, c.guidance_scale_rule, c.lam) if c.lam else 0.0
+        for c in couplings
+    ]).reshape(-1, 1, 1)
+    lam = np.array([c.lam for c in couplings]).reshape(-1, 1, 1)
+    inc = scale * coupling_gradient(x0s[0], x0s[1], lam)
+    moved = scale != 0.0
+    np.add(xs[0], inc, out=xs[0], where=moved)
+    np.subtract(xs[1], inc, out=xs[1], where=moved)
+    return bool(moved.any())
 
 
 def coupled_sweep(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSchedule,
@@ -164,9 +167,9 @@ def coupled_sweep(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSched
     seed_b = derive_seed(seed, CHAIN_B)
     series = np.empty((len(couplings), len(steps)))
 
-    def guide(i, t, t_next, l, x0s):
-        series[l, i] = float(np.mean(np.linalg.norm(x0s[0] - x0s[1], axis=-1)))
-        return _guidance(couplings[l], schedule, t, t_next, *x0s)
+    def guide(i, t, t_next, chunk, x0s, xs):
+        series[chunk, i] = np.linalg.norm(x0s[0] - x0s[1], axis=-1).mean(axis=-1)
+        return _guidance(couplings[chunk], schedule, t, t_next, x0s, xs)
 
     models = (model_a, model_b)
     (xs_a, xs_b), (traj_a, traj_b) = _run_chains(
@@ -240,18 +243,9 @@ def score_average_sample(models, weights, schedule: NoiseSchedule,
 
 def mv_edit_demo(scene: MvScene, schedule: NoiseSchedule, coupling: CouplingConfig,
                  seed: int, n: int) -> CoupledRunResult:
-    """Couple the per-view edit chain (A) with the shared-latent chain (B).
-
-    Returns the coupled batches plus per-sample view-consistency residuals
-    for both chains.
-    """
+    """Couple the per-view edit chain (A) with the shared-latent chain (B)."""
     model_a, model_b = mv_chain_models(scene)
-    result = coupled_sample(model_a, model_b, schedule, SamplerConfig(), coupling, seed, n)
-    return replace(
-        result,
-        residuals_a=consistency_residual(result.batch_a.samples, scene.n_views, scene.view_dim),
-        residuals_b=consistency_residual(result.batch_b.samples, scene.n_views, scene.view_dim),
-    )
+    return coupled_sample(model_a, model_b, schedule, SamplerConfig(), coupling, seed, n)
 
 
 def mutual_tilt_fixed_point(mu_self, mu_other, lam: float) -> np.ndarray:

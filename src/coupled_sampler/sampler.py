@@ -25,7 +25,8 @@ step), so a batch is bit-reproducible from (seed, config); a shard of the n
 chains cannot yet draw only its own rows. A chain may hold several copies of
 its n points (one per coupling strength of a sweep): x_T and each step's
 noise are drawn once per chain and serve every copy, and the step runs on
-chunks of whole copies of at most _CHUNK_ELEMENTS rows x d.
+chunks of whole copies of at most _CHUNK_ELEMENTS rows x d, one pass per
+chain and then one guidance call for all chains.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ class SamplerConfig:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.step_subset is not None:
+            if not all(isinstance(t, (int, np.integer)) and not isinstance(t, bool)
+                       for t in self.step_subset):
+                raise ValueError(f"step_subset must hold integers, got {self.step_subset!r}")
             object.__setattr__(
                 self, "step_subset", tuple(int(t) for t in self.step_subset)
             )
@@ -153,11 +157,11 @@ def config_fingerprint(model: ScoreModel, schedule: NoiseSchedule,
 
 
 def _chunks(copies: int, n: int, d: int) -> list:
-    """Whole copies per chunk, at most _CHUNK_ELEMENTS rows x d. At n = 1 each
-    copy runs alone: a 1-row mixture call rounds differently in LAPACK from
-    the same row solved among others."""
+    """Slices of whole copies, at most _CHUNK_ELEMENTS rows x d each. At n = 1
+    each copy runs alone: a 1-row mixture call rounds differently in LAPACK
+    from the same row solved among others."""
     per = 1 if n == 1 else max(1, _CHUNK_ELEMENTS // (n * d))
-    return [range(lo, min(lo + per, copies)) for lo in range(0, copies, per)]
+    return [slice(lo, min(lo + per, copies)) for lo in range(0, copies, per)]
 
 
 def _run_chains(models, streams, names, schedule: NoiseSchedule, steps,
@@ -168,19 +172,20 @@ def _run_chains(models, streams, names, schedule: NoiseSchedule, steps,
     It holds `copies` copies of its points, all started from one x_T and
     moved by one noise block per step, so copy l is bit for bit the run with
     one copy and copy l's guidance. The step runs on chunks of whole copies
-    (_chunks), held (copies in chunk, n, d). After the chains' own updates,
-    guide(i, t, t_next, l, x0s) may return one increment per chain for copy
-    l, or None; a copy left without one keeps its update's bits. A model
-    error, or a non-finite state after a step, raises a RuntimeError naming
-    the chain and the step. Returns per chain the final states, one (n, d)
-    array per copy, and one Trajectory (or None) per chain; a trajectory is
-    recorded for a single copy only.
+    (_chunks), held (copies in chunk, n, d). Per chunk, each chain makes one
+    pass: model call, step, trajectory record and a check that its own
+    update is finite. Then guide(i, t, t_next, chunk, x0s, xs) may move the
+    chunk's fresh states xs in place and returns whether it moved any; only
+    then are they checked again. A model error or a non-finite state raises
+    a RuntimeError naming the chain, the step and the cause. Returns per
+    chain the final states, one (n, d) array per copy, and one Trajectory
+    (or None) per chain; a trajectory is recorded for a single copy only.
     """
     if config.record_trajectory and copies != 1:
         raise ValueError("record_trajectory needs a single copy")
     d = models[0].dim
     chunks = _chunks(copies, n, d)
-    states = [[np.broadcast_to(x_T, (len(chunk), n, d)) for chunk in chunks]
+    states = [[np.broadcast_to(x_T, (copies, n, d))[chunk] for chunk in chunks]
               for x_T in (stream.normal((n, d), STREAM_INIT) for stream in streams)]
     records = [[] for _ in models]
     for i, t in enumerate(steps):
@@ -189,37 +194,30 @@ def _run_chains(models, streams, names, schedule: NoiseSchedule, steps,
         if config.kind == "ancestral" and t_next != 0:
             zs = [stream.normal((n, d), STREAM_STEP, t) for stream in streams]
         for c, chunk in enumerate(chunks):
-            xs = [state[c] for state in states]
-            eps = []
-            for model, x, name in zip(models, xs, names):
+            x0s, nxts = [], []
+            for model, state, name, z, rec in zip(models, states, names, zs, records):
+                x = state[c]
                 try:
-                    eps.append(model.predict_epsilon(x.reshape(-1, d), t, schedule)
-                               .reshape(x.shape))
+                    eps = (model.predict_epsilon(x.reshape(-1, d), t, schedule)
+                           .reshape(x.shape))
                 except Exception as exc:
                     raise RuntimeError(
                         f"{name}: model evaluation failed at step {t}") from exc
-            x0s, nxts = zip(*(
-                _step(x, e, z, schedule, t, t_next, config.kind)
-                for x, e, z in zip(xs, eps, zs)
-            ))
-            if config.record_trajectory:
-                for rec, x, x0, e in zip(records, xs, x0s, eps):
-                    rec.append((x[0], x0[0], e[0]))
-            increments = [[] for _ in models]  # per chain: (copy in chunk, increment)
-            for j, index in enumerate(chunk if guide is not None else ()):
-                incs = guide(i, t, t_next, index, [x0[j] for x0 in x0s]) or ()
-                for per_chain, inc in zip(increments, incs):
-                    per_chain.append((j, inc))
-            for state, name, nxt, incs in zip(states, names, nxts, increments):
-                x = nxt.copy() if incs else nxt
-                for j, inc in incs:
-                    x[j] += inc
-                if not np.isfinite(x).all():
-                    cause = ("after the guidance increment; its own update was finite"
-                             if incs and np.isfinite(nxt).all()
-                             else "from its own update (model or step)")
-                    raise RuntimeError(f"{name}: non-finite state at step {t} {cause}")
-                state[c] = x
+                x0, nxt = _step(x, eps, z, schedule, t, t_next, config.kind)
+                if config.record_trajectory:
+                    rec.append((x[0], x0[0], eps[0]))
+                if not np.isfinite(nxt).all():
+                    raise RuntimeError(f"{name}: non-finite state at step {t} "
+                                       "from its own update (model or step)")
+                state[c] = nxt
+                x0s.append(x0)
+                nxts.append(nxt)
+            if guide is not None and guide(i, t, t_next, chunk, x0s, nxts):
+                for name, nxt in zip(names, nxts):
+                    if not np.isfinite(nxt).all():
+                        raise RuntimeError(
+                            f"{name}: non-finite state at step {t} after the guidance "
+                            "increment; its own update was finite")
 
     finals = [[x for chunk in state for x in chunk] for state in states]
     if not config.record_trajectory:

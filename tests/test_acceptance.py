@@ -23,6 +23,7 @@ from coupled_sampler.coupling import (
     score_average_sample,
 )
 from coupled_sampler.metrics import (
+    consistency_residual,
     coupling_distance,
     energy_permutation_test,
     gmm_nll,
@@ -187,8 +188,10 @@ def test_c8_mv_edit_demo(sched):
     free = mv_edit_demo(scene, sched, CouplingConfig(lam=0.0), seed, 2048)
     tied = mv_edit_demo(scene, sched, CouplingConfig(lam=1.0), seed, 2048)
     # threshold frozen from the lam = 0 run before judging the coupled one
-    residual_bound = 0.3 * float(np.median(free.residuals_a))
-    residual_b = float(np.median(tied.residuals_b))
+    residual_bound = 0.3 * float(np.median(
+        consistency_residual(free.batch_a.samples, scene.n_views, scene.view_dim)))
+    residual_b = float(np.median(
+        consistency_residual(tied.batch_b.samples, scene.n_views, scene.view_dim)))
     assert residual_b <= residual_bound, (residual_b, residual_bound)
     edit_mean = np.average(scene.edit_gmm.means, axis=0, weights=scene.edit_gmm.weights)
     views = tied.batch_b.samples.reshape(-1, scene.n_views, scene.view_dim)

@@ -59,6 +59,25 @@ class TestSampleCommand:
         assert header == "chain_index,dim_0,dim_1"
         ET.parse(out / "scatter.svg")
 
+    def test_energy_test_finite_at_huge_scale(self, tmp_path):
+        # float32 squares of a cloud spread over +-1e20 overflow; the energy
+        # test scales the clouds first, so metrics.json stays valid JSON
+        cov = [[1.0, 0.0], [0.0, 1.0]]
+        model = {"weights": [0.5, 0.5], "means": [[1e20, 1e20], [-1e20, -1e20]],
+                 "covariances": [cov, cov]}
+        doc = sample_config(model=model, seed=1)
+        doc["schedule"]["num_steps"] = 50
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"metrics.json holds {constant}")
+
+        metrics = json.loads((out / "metrics.json").read_text(), parse_constant=reject)
+        energy = {m["name"]: m for m in metrics}["energy-distance"]
+        assert np.isfinite(energy["value"]) and np.isfinite(energy["threshold"])
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, sample_config())
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -140,25 +140,41 @@ class TestGuidance:
     def test_increment_pulls_toward_partner_estimate(self):
         sched = short_schedule()
         rng = np.random.default_rng(3)
-        x0_a, x0_b = rng.normal(size=(2, 8, 2))
+        lams = (1.5, 3.0, 0.25)
+        x0_a, x0_b, x_a, x_b = rng.normal(size=(4, len(lams), 8, 2))
         t = 20
         for rule in GUIDANCE_RULES:
-            for lam in (1.5, 3.0):
-                cpl = CouplingConfig(lam=lam, guidance_scale_rule=rule)
-                inc_a, inc_b = _guidance(cpl, sched, t, t - 1, x0_a, x0_b)
+            couplings = [CouplingConfig(lam=lam, guidance_scale_rule=rule) for lam in lams]
+            xs = [x_a.copy(), x_b.copy()]
+            assert _guidance(couplings, sched, t, t - 1, (x0_a, x0_b), xs)
+            for l, lam in enumerate(lams):
                 scale = guidance_scale(sched, t, t - 1, rule, lam)
                 assert scale > 0.0
-                assert inc_a == pytest.approx(-scale * lam * (x0_a - x0_b), rel=1e-12)
-                assert inc_b == pytest.approx(-scale * lam * (x0_b - x0_a), rel=1e-12)
+                inc = scale * (-lam * (x0_a[l] - x0_b[l]))
+                # chain B moves by the exact negative of chain A's increment
+                assert xs[0][l].tobytes() == (x_a[l] + inc).tobytes()
+                assert xs[1][l].tobytes() == (x_b[l] + -inc).tobytes()
 
     def test_none_at_lambda_zero_and_on_final_jump(self):
         sched = short_schedule()
-        x0_a, x0_b = np.ones((4, 2)), -np.ones((4, 2))
-        assert _guidance(CouplingConfig(lam=0.0), sched, 20, 19, x0_a, x0_b) is None
+        # the estimates differ by +2 and -2, so an unmasked zero increment
+        # would turn a -0.0 state into +0.0 in one chain or the other
+        x0s = (np.tile([1.0, -1.0], (3, 4, 1)), np.tile([-1.0, 1.0], (3, 4, 1)))
+        x_a, x_b = np.random.default_rng(4).normal(size=(2, 3, 4, 2))
+        x_a[:, 0] = x_b[:, 0] = -0.0
+        mixed = [CouplingConfig(lam=lam) for lam in (1.0, 0.0, 2.0)]
+        xs = [x_a.copy(), x_b.copy()]
+        assert _guidance(mixed, sched, 20, 19, x0s, xs)
+        for got, want in zip(xs, (x_a, x_b)):
+            assert got[1].tobytes() == want[1].tobytes()
+            assert not np.array_equal(got[0], want[0]) and not np.array_equal(got[2], want[2])
+        xs = [x_a.copy(), x_b.copy()]
+        assert not _guidance([CouplingConfig(lam=0.0)] * 3, sched, 20, 19, x0s, xs)
         for rule in GUIDANCE_RULES:
-            cpl = CouplingConfig(lam=1.0, guidance_scale_rule=rule)
-            assert _guidance(cpl, sched, 1, 0, x0_a, x0_b) is None
-            assert _guidance(cpl, sched, 7, 0, x0_a, x0_b) is None
+            couplings = [CouplingConfig(lam=1.0, guidance_scale_rule=rule)] * 3
+            for t in (1, 7):
+                assert not _guidance(couplings, sched, t, 0, x0s, xs)
+        assert xs[0].tobytes() == x_a.tobytes() and xs[1].tobytes() == x_b.tobytes()
 
 
 class TestCoupledSample:
@@ -221,6 +237,18 @@ class TestCoupledSample:
         bad = Broken(Gmm.from_covariances([1.0], [np.zeros(2)], [np.eye(2)]))
         with pytest.raises(RuntimeError, match="chain B"):
             coupled_sample(gaussian_model([0.0, 0.0]), bad, sched, SamplerConfig(),
+                           CouplingConfig(), 0, 4)
+
+    def test_non_finite_own_update_names_chain_step_and_cause(self):
+        class InfAtStep(GmmScoreModel):
+            def predict_epsilon(self, x, t, schedule):
+                eps = super().predict_epsilon(x, t, schedule)
+                return np.full_like(eps, np.inf) if t == 37 else eps
+
+        bad = InfAtStep(Gmm.from_covariances([1.0], [np.zeros(2)], [np.eye(2)]))
+        with pytest.raises(RuntimeError, match="^chain B: non-finite state at step 37 "
+                                               r"from its own update \(model or step\)$"):
+            coupled_sample(gaussian_model([0.0, 0.0]), bad, short_schedule(), SamplerConfig(),
                            CouplingConfig(), 0, 4)
 
 
@@ -374,6 +402,10 @@ class TestScoreAverage:
             )
 
 
+def residuals(scene, batch):
+    return consistency_residual(batch.samples, scene.n_views, scene.view_dim)
+
+
 class TestMvEditDemo:
     def test_lambda_zero_residual_scales(self):
         scene = resolve_scene("mv-triangle")
@@ -381,8 +413,8 @@ class TestMvEditDemo:
         run = mv_edit_demo(scene, sched, CouplingConfig(lam=0.0), seed=2, n=512)
         # independent per-view edits are widely inconsistent; the joint model
         # keeps views jitter-tight
-        assert np.median(run.residuals_a) > 1.0
-        assert np.median(run.residuals_b) < 10 * scene.jitter
+        assert np.median(residuals(scene, run.batch_a)) > 1.0
+        assert np.median(residuals(scene, run.batch_b)) < 10 * scene.jitter
 
     def test_coupled_run_aligns_edit_chain(self):
         scene = resolve_scene("mv-triangle")
@@ -391,15 +423,9 @@ class TestMvEditDemo:
         tied = mv_edit_demo(scene, sched, CouplingConfig(lam=1.0), seed=2, n=512)
         # measured ~0.63x at this step count; coupling must visibly pull the
         # per-view edit chain together
-        assert np.median(tied.residuals_a) < 0.75 * np.median(free.residuals_a)
-        assert np.median(tied.residuals_b) <= 0.3 * np.median(free.residuals_a)
-
-    def test_residuals_match_metric(self):
-        scene = resolve_scene("mv-triangle")
-        sched = build_linear(40, 1e-3, 0.2)
-        run = mv_edit_demo(scene, sched, CouplingConfig(lam=0.5), seed=4, n=64)
-        direct = consistency_residual(run.batch_b.samples, scene.n_views, scene.view_dim)
-        assert np.array_equal(run.residuals_b, direct)
+        free_a = np.median(residuals(scene, free.batch_a))
+        assert np.median(residuals(scene, tied.batch_a)) < 0.75 * free_a
+        assert np.median(residuals(scene, tied.batch_b)) <= 0.3 * free_a
 
     def test_cross_chain_distance_non_increasing_in_lambda(self):
         scene = resolve_scene("mv-triangle")

@@ -121,6 +121,30 @@ class TestEnergyDistance:
         with pytest.raises(ValueError, match=f"{name}: holds non-finite values"):
             energy_permutation_test(**clouds, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("shift", [0.0, 0.25])
+    def test_scales_exactly_with_power_of_two(self, shift):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(300, 2))
+        b = rng.normal(size=(300, 2)) + shift
+        base = energy_permutation_test(a, b, np.random.default_rng(13))
+        for k in (-900, -100, -40, -3, 2, 30, 100, 900):
+            res = energy_permutation_test(np.ldexp(a, k), np.ldexp(b, k),
+                                          np.random.default_rng(13))
+            assert res.statistic == math.ldexp(base.statistic, k)
+            assert res.null_quantile == math.ldexp(base.null_quantile, k)
+            assert (res.p_value, res.passed) == (base.p_value, base.passed)
+
+    @pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
+    def test_detects_mean_shift_at_any_scale(self, scale):
+        # float32 squares of the raw clouds underflow to 0 at 1e-30 and
+        # overflow at 1e30; the shift must still be found
+        rng = np.random.default_rng(14)
+        a = rng.normal(size=(300, 2))
+        b = rng.normal(size=(300, 2)) + 3.0
+        res = energy_permutation_test(scale * a, scale * b, np.random.default_rng(15))
+        assert np.isfinite(res.statistic) and res.statistic > 0.0
+        assert not res.passed and res.p_value <= 1.0 / 201.0 + 1e-12
+
 
 def _energy_test_one_shot(cloud_a, cloud_b, rng, n_permutations=200):
     """Reference: the energy permutation test on the whole pooled distance

@@ -105,6 +105,17 @@ class TestSamplerConfig:
             with pytest.raises(ValueError):
                 SamplerConfig(step_subset=subset).steps_for(sched)
 
+    @pytest.mark.parametrize("subset", ["61", (60, 30.9, 1), (60, True), (60, np.float64(30), 1),
+                                        (60, "30", 1), (60, np.bool_(True))])
+    def test_step_subset_rejects_non_integers(self, subset):
+        with pytest.raises(ValueError, match="step_subset"):
+            SamplerConfig(step_subset=subset)
+
+    def test_step_subset_accepts_python_and_numpy_ints(self):
+        cfg = SamplerConfig(step_subset=(np.int64(10), 7, np.int32(4), 1))
+        assert cfg.step_subset == (10, 7, 4, 1)
+        assert all(type(t) is int for t in cfg.step_subset)
+
 
 class TestSample:
     def test_seed_determinism(self):

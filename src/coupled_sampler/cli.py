@@ -160,8 +160,6 @@ _SAMPLE_SCHEMA = {
 }
 
 _COUPLE_SCHEMA = {
-    "model_a": (False, _resolved(resolve_gmm)),
-    "model_b": (False, _resolved(resolve_gmm)),
     "pair": (False, _resolved(resolve_pair)),
     "scene": (False, _resolved(resolve_scene)),
     "schedule": (True, _as_is),
@@ -177,11 +175,20 @@ _SWEEP_SCHEMA = {k: v for k, v in _COUPLE_SCHEMA.items() if k != "svg"}
 _SWEEP_SCHEMA["lambda_grid"] = (True, _as_list(_as_lambda))
 
 
-def _load_config(path: str, seed_override) -> dict:
+def _read_text(path: str, flag: str) -> str:
+    """The UTF-8 text of the file that flag names."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{flag}: {path} is not UTF-8 text") from exc
+
+
+def _load_config(path: str, seed_override) -> dict:
+    text = _read_text(path, "--config")
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -193,27 +200,16 @@ def _load_config(path: str, seed_override) -> dict:
 
 def _resolve_couple_models(fields):
     """-> (model_a, model_b, gmm_a, gmm_b, scene, reference)."""
-    sources = [k for k in ("pair", "scene") if k in fields]
-    if "model_a" in fields or "model_b" in fields:
-        sources.append("model_a/model_b")
-        if "model_a" not in fields or "model_b" not in fields:
-            raise ConfigError("model_a: model_a and model_b must be given together")
-    if len(sources) != 1:
-        raise ConfigError(
-            "config: exactly one of pair, scene, or model_a/model_b is required"
-        )
+    if ("pair" in fields) == ("scene" in fields):
+        raise ConfigError("config: exactly one of pair or scene is required")
     if "scene" in fields:
         scene = fields["scene"]
         with _building("scene"):
             model_a, model_b = mv_chain_models(scene)
         return model_a, model_b, None, model_b.gmm, scene, {}
-    if "pair" in fields:
-        gmm_a, gmm_b, reference = fields["pair"]
-    else:
-        gmm_a, gmm_b, reference = fields["model_a"], fields["model_b"], {}
+    gmm_a, gmm_b, reference = fields["pair"]
     if gmm_a.dim != gmm_b.dim:
-        at = "pair: model_b" if "pair" in fields else "model_b"
-        raise ConfigError(f"{at}: coupled models must share a dimension")
+        raise ConfigError("pair: model_b: coupled models must share a dimension")
     return GmmScoreModel(gmm_a), GmmScoreModel(gmm_b), gmm_a, gmm_b, None, reference
 
 
@@ -354,7 +350,7 @@ def cmd_couple(args) -> int:
     write_csv(
         out / "coupling_trace.csv",
         ["step", "mean_distance"],
-        ([int(t), v] for t, v in zip(result.series_steps, result.coupling_series)),
+        map(list, zip(result.series_steps.tolist(), result.coupling_series.tolist())),
     )
     write_json(out / "metrics.json", [r.to_dict() for r in reports])
     write_json(
@@ -469,10 +465,7 @@ def cmd_schedule(args) -> int:
         return 0
     # align
     def _load_sched(path, flag):
-        try:
-            text = Path(path).read_text()
-        except FileNotFoundError as exc:
-            raise ConfigError(f"{flag}: file not found: {path}") from exc
+        text = _read_text(path, flag)
         with _building(flag):  # json.JSONDecodeError is a ValueError
             return schedule_from_json(text)
 

@@ -1,8 +1,9 @@
 """Deterministic CSV, JSON, and SVG emitters.
 
-Floats are written with shortest round-trip repr so a rerun of the same
-(config, seed) reproduces every file byte for byte. SVG figures are built
-from raw circle/line/polyline primitives; no plotting dependency.
+A CSV cell is a Python int, a float or empty (None). Floats are written with
+shortest round-trip repr so a rerun of the same (config, seed) reproduces
+every file byte for byte. SVG figures are built from raw
+circle/line/polyline primitives; no plotting dependency.
 """
 
 from __future__ import annotations
@@ -14,27 +15,15 @@ from pathlib import Path
 import numpy as np
 
 
-def fmt_cell(v) -> str:
-    if type(v) is float:
-        return repr(v)
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 _CHUNK_ROWS = 4096
+_CELL_TYPES = {int, float, type(None)}
 
 
 def write_csv(path, header, rows) -> Path:
-    """rows is consumed lazily, _CHUNK_ROWS rows at a time.
-
-    A chunk of list rows whose every cell is a Python int or float is
-    written from one repr of the chunk: repr(float) is the shortest
-    round-trip form and repr(int) is str(int), so the bytes equal fmt_cell's.
+    """rows is consumed lazily, _CHUNK_ROWS rows at a time, and each chunk is
+    written from one repr of it: repr(float) is the shortest round-trip form,
+    repr(int) is str(int), and None becomes an empty cell. A chunk holding
+    anything but lists of those cells raises TypeError before it is written.
     """
     path = Path(path)
     rows = iter(rows)
@@ -42,10 +31,10 @@ def write_csv(path, header, rows) -> Path:
         f.write(",".join(header) + "\n")
         while batch := list(islice(rows, _CHUNK_ROWS)):
             cells = chain.from_iterable(batch)
-            if set(map(type, batch)) == {list} and set(map(type, cells)) <= {int, float}:
-                f.write(repr(batch)[2:-2].replace("], [", "\n").replace(", ", ",") + "\n")
-            else:
-                f.writelines(",".join(map(fmt_cell, row)) + "\n" for row in batch)
+            if set(map(type, batch)) != {list} or not set(map(type, cells)) <= _CELL_TYPES:
+                raise TypeError("write_csv: a row must be a list of Python int, float or None")
+            text = repr(batch)[2:-2].replace("], [", "\n").replace(", ", ",")
+            f.write(text.replace("None", "") + "\n")
     return path
 
 
@@ -53,26 +42,6 @@ def write_json(path, obj) -> Path:
     path = Path(path)
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     return path
-
-
-def _bounds(points: np.ndarray):
-    pad = 0.05  # share of the data range left blank on each side
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
-    return lo - pad * span, hi + pad * span
-
-
-class _Canvas:
-    def __init__(self, lo, hi, size: int):
-        self.lo, self.hi, self.size = lo, hi, size
-        self.span = hi - lo
-
-    def map(self, points):
-        """Pixel coordinates of (n, >=2) points, as two lists of floats."""
-        x = (points[:, 0] - self.lo[0]) / self.span[0] * self.size
-        y = self.size - (points[:, 1] - self.lo[1]) / self.span[1] * self.size
-        return x.tolist(), y.tolist()
 
 
 def _svg_doc(size_w: int, size_h: int, body: list) -> str:
@@ -95,17 +64,26 @@ def scatter_svg(groups, segments=None) -> str:
     pts = [np.asarray(p, dtype=float)[:, :2] for p, _ in groups]
     stack = np.vstack(pts + ([np.asarray(s, dtype=float)[:, :2] for s in segments]
                              if segments else []))
-    lo, hi = _bounds(stack)
-    cv = _Canvas(lo, hi, size)
+    lo, hi = stack.min(axis=0), stack.max(axis=0)
+    pad = 0.05 * np.maximum(hi - lo, 1e-9)  # 5 % of the data range blank on each side
+    lo, hi = lo - pad, hi + pad
+    span = hi - lo
+
+    def to_px(points):
+        """Pixel coordinates of (n, >=2) points, as two lists of floats."""
+        x = (points[:, 0] - lo[0]) / span[0] * size
+        y = size - (points[:, 1] - lo[1]) / span[1] * size
+        return x.tolist(), y.tolist()
+
     body = []
     if segments is not None:
         a, b = (np.asarray(s, dtype=float)[:, :2] for s in segments)
         body += ['<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
                  'stroke="#cccccc" stroke-width="0.4"/>' % c
-                 for c in zip(*cv.map(a), *cv.map(b))]
+                 for c in zip(*to_px(a), *to_px(b))]
     for points, color in zip(pts, (c for _, c in groups)):
         body += ['<circle cx="%.2f" cy="%.2f" r="1.6" fill="%s"/>' % (x, y, color)
-                 for x, y in zip(*cv.map(points))]
+                 for x, y in zip(*to_px(points))]
     return _svg_doc(size, size, body)
 
 

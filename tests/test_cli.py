@@ -44,6 +44,13 @@ def couple_config(**extra):
     return doc
 
 
+# a path that exists but cannot be read as UTF-8 text, and the error it gives
+_UNREADABLE = pytest.mark.parametrize("make, msg", [
+    (lambda p: p.mkdir(), "Is a directory"),
+    (lambda p: p.write_bytes(b'{"\xff": 1}'), "is not UTF-8 text"),
+], ids=["directory", "not_utf8"])
+
+
 class TestSampleCommand:
     def test_minimal_run_emits_files(self, tmp_path):
         cfg = write_config(tmp_path, sample_config(svg=True))
@@ -137,6 +144,18 @@ class TestSampleCommand:
         assert main(["sample", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["sample", "couple", "sweep"])
+    @_UNREADABLE
+    def test_unreadable_config_rejected_before_output(self, tmp_path, capsys, command,
+                                                      make, msg):
+        cfg = tmp_path / "cfg.json"
+        make(cfg)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --config: " in err and str(cfg) in err and msg in err
+        assert not out.exists()
+
 
 class TestCoupleCommand:
     def test_pair_preset_run(self, tmp_path):
@@ -183,9 +202,8 @@ class TestCoupleCommand:
 
     def test_dimension_mismatch_rejected(self, tmp_path, capsys):
         doc = couple_config()
-        del doc["pair"]
-        doc["model_a"] = "std-normal-2d"
-        doc["model_b"] = "ring-2c-4d"
+        doc["pair"] = {"model_a": load_preset("std-normal-2d"),
+                       "model_b": load_preset("ring-2c-4d")}
         cfg = write_config(tmp_path, doc)
         assert main(["couple", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "dimension" in capsys.readouterr().err
@@ -325,9 +343,18 @@ def _one_dim_svg(doc):
     if "model" in doc:
         doc["model"] = _ONE_DIM
     else:
-        del doc["pair"]
-        doc["model_a"] = doc["model_b"] = _ONE_DIM
+        doc["pair"] = {"model_a": _ONE_DIM, "model_b": _ONE_DIM}
     doc["svg"] = True
+
+
+def _top_level_pair(sweep=False):
+    # the removed way to name a pair: model_a and model_b beside the other keys
+    def mutate(doc):
+        _set_coupling(sweep=sweep)(doc)
+        pair = load_preset("separated-pair")
+        del doc["pair"]
+        doc["model_a"], doc["model_b"] = pair["model_a"], pair["model_b"]
+    return mutate
 
 
 def _sweep_svg(doc):
@@ -418,6 +445,8 @@ def _tiny_shift(doc):
      "lambda_grid[3]: lambda must be non-negative and 2 * lambda finite"),
     ("couple", _set_pair(model_b=_ONE_DIM),
      "pair: model_b: coupled models must share a dimension"),
+    ("couple", _top_level_pair(), "model_a: unknown key"),
+    ("sweep", _top_level_pair(sweep=True), "model_a: unknown key"),
 ], ids=["subset_not_from_T", "subset_repeats", "ramp_couple", "noise_policy_sweep",
         "negative_grid", "seed_past_u64", "sample_one_point", "noiseless_first_step",
         "shift_too_small", "reference_inf", "reference_nan", "reference_bool",
@@ -430,7 +459,7 @@ def _tiny_shift(doc):
         "scene_view_dim_mismatch", "couple_trajectory", "sweep_trajectory",
         "sample_svg_one_dim", "couple_svg_one_dim", "sweep_svg", "variance_rule_removed",
         "alpha_t_rule_removed", "lambda_overflows", "grid_lambda_overflows",
-        "pair_dimension_mismatch"])
+        "pair_dimension_mismatch", "couple_top_level_model_a", "sweep_top_level_model_a"])
 def test_bad_value_rejected_before_output(tmp_path, capsys, command, mutate, key):
     doc = sample_config() if command == "sample" else couple_config()
     mutate(doc)
@@ -589,6 +618,20 @@ class TestScheduleCommand:
         src.write_text(schedule_to_json(build_linear(5, 0.1, 0.2)))
         assert main(["schedule", "align", "--source", str(src),
                      "--target", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("flag", ["--source", "--target"])
+    @_UNREADABLE
+    def test_align_unreadable_file_names_flag(self, tmp_path, capsys, flag, make, msg):
+        good = tmp_path / "good.json"
+        good.write_text(schedule_to_json(build_linear(5, 0.1, 0.2)))
+        bad = tmp_path / "bad"
+        make(bad)
+        files = {"--source": good, "--target": good, flag: bad}
+        assert main(["schedule", "align", "--source", str(files["--source"]),
+                     "--target", str(files["--target"])]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: {flag}: " in captured.err and str(bad) in captured.err
+        assert msg in captured.err and captured.out == ""
 
 
 VERIFY_CHECKS = [
@@ -754,6 +797,9 @@ def test_readme_config_parses(tmp_path, monkeypatch, stem):
 @pytest.mark.parametrize("section, schema, values", [
     ("sampler", cli._SAMPLER_SCHEMA, KINDS),
     ("coupling", cli._COUPLING_SCHEMA, GUIDANCE_RULES),
+    ("sample", cli._SAMPLE_SCHEMA, ()),
+    ("couple", cli._COUPLE_SCHEMA, ()),
+    ("schedule", cli._SCHEDULE_SCHEMA, ()),
 ])
 def test_readme_names_every_key_and_value(section, schema, values):
     # the bullet's first sentence lists the keys, and its values in parentheses

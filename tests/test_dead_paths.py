@@ -41,6 +41,7 @@ def _profile(frame, event, arg):
 sys.setprofile(_profile)
 import coupled_sampler
 from coupled_sampler.cli import main
+from coupled_sampler.presets import load_preset
 
 os.chdir(sys.argv[1])
 readme_schedule = {"num_steps": 200, "beta_start": 1e-4, "beta_end": 0.115}
@@ -58,7 +59,8 @@ configs = {
     "trajectory": {"model": "std-normal-2d", "schedule": readme_schedule, "n": 16, "seed": 5,
                    "sampler": {"kind": "deterministic", "record_trajectory": True,
                                "step_subset": [200, 100, 50, 1]}},
-    "models": {"model_a": "gauss-left", "model_b": "gauss-right",
+    "models": {"pair": {"model_a": load_preset("gauss-left"),
+                        "model_b": load_preset("gauss-right")},
                "schedule": readme_schedule, "n": 16, "seed": 5,
                "coupling": {"lambda": 2.0, "guidance_scale_rule": "alpha_bar_prev"}},
 }

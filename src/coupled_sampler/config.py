@@ -1,15 +1,32 @@
 """Checked reading of JSON objects: config files, inline and preset models,
-schedule files. Every object is read through _require and a key table; a bad
-value raises ConfigError, whose message starts with the key path."""
+schedule files. Every file is read through _read_json, and every object
+through _require and a key table; a bad value raises ConfigError, whose
+message starts with the key path."""
 
 from __future__ import annotations
 
+import json
 import math
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _read_json(path, label: str = ""):
+    """The parsed JSON of the UTF-8 file at path. A file that cannot be read,
+    is not UTF-8 or is not JSON raises ConfigError naming label and path."""
+    at = f"{label}: " if label else ""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"{at}cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{at}{path} is not UTF-8 text") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{at}{path} is not valid JSON (line {exc.lineno}): {exc.msg}") from exc
 
 
 def _require(doc, path: str, table: dict) -> dict:

@@ -40,7 +40,6 @@ from .sampler import (
     SamplerConfig,
     SampleBatch,
     _run_chains,
-    config_fingerprint,
     sample,
     step_coefficients,
 )
@@ -163,24 +162,21 @@ def coupled_sweep(model_a: ScoreModel, model_b: ScoreModel, schedule: NoiseSched
     if n < 1:
         raise ValueError("n must be >= 1")
     steps = sampler_config.steps_for(schedule)
-    seed_a = derive_seed(seed, CHAIN_A)
-    seed_b = derive_seed(seed, CHAIN_B)
     series = np.empty((len(couplings), len(steps)))
 
     def guide(i, t, t_next, chunk, x0s, xs):
         series[chunk, i] = np.linalg.norm(x0s[0] - x0s[1], axis=-1).mean(axis=-1)
         return _guidance(couplings[chunk], schedule, t, t_next, x0s, xs)
 
-    models = (model_a, model_b)
+    streams = (NoiseStream(derive_seed(seed, CHAIN_A)), NoiseStream(derive_seed(seed, CHAIN_B)))
     (xs_a, xs_b), (traj_a, traj_b) = _run_chains(
-        models, (NoiseStream(seed_a), NoiseStream(seed_b)), ("chain A", "chain B"),
+        (model_a, model_b), streams, ("chain A", "chain B"),
         schedule, steps, sampler_config, n, guide, copies=len(couplings),
     )
-    fp_a, fp_b = (config_fingerprint(model, schedule, sampler_config) for model in models)
     return [
         CoupledRunResult(
-            batch_a=SampleBatch(samples=x_a, seed=seed_a, fingerprint=fp_a, trajectory=traj_a),
-            batch_b=SampleBatch(samples=x_b, seed=seed_b, fingerprint=fp_b, trajectory=traj_b),
+            batch_a=SampleBatch(samples=x_a, trajectory=traj_a),
+            batch_b=SampleBatch(samples=x_b, trajectory=traj_b),
             coupling_series=row, series_steps=np.asarray(steps, dtype=np.int64),
         )
         for x_a, x_b, row in zip(xs_a, xs_b, series)

@@ -3,6 +3,10 @@
 Everything here is a pure function of its inputs; the permutation test takes
 an explicit Generator. The energy distance is used instead of an MMD because
 it has no bandwidth to tune at these dimensions.
+
+A MetricReport holds a name and a value, plus an optional threshold and its
+op ("le" or "ge"); its passed verdict is derived from those, never stored.
+The run's sample count and seed are the CLI's to record, not a report's.
 """
 
 from __future__ import annotations
@@ -29,33 +33,25 @@ class MetricReport:
     name: str
     value: float
     threshold: float | None = None
-    op: str | None = None  # "le" or "ge" when threshold is present
-    passed: bool | None = None
-    sample_count: int | None = None
-    seed: int | None = None
+    op: str | None = None
 
     def __post_init__(self):
-        if (self.threshold is None) != (self.passed is None):
-            raise ValueError("threshold and passed must be present together")
-        if self.threshold is not None and self.op not in ("le", "ge"):
-            raise ValueError("op must be 'le' or 'ge' when a threshold is present")
+        if (self.threshold is None) != (self.op is None):
+            raise ValueError("threshold and op must be present together")
+        if self.op not in (None, "le", "ge"):
+            raise ValueError(f"op must be 'le' or 'ge', got {self.op!r}")
 
-    @classmethod
-    def thresholded(cls, name, value, threshold, op, **kw) -> "MetricReport":
-        value = float(value)
-        threshold = float(threshold)
-        passed = value <= threshold if op == "le" else value >= threshold
-        return cls(name=name, value=value, threshold=threshold, op=op,
-                   passed=passed, **kw)
+    @property
+    def passed(self) -> bool | None:
+        if self.threshold is None:
+            return None
+        value, threshold = float(self.value), float(self.threshold)
+        return value <= threshold if self.op == "le" else value >= threshold
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "value": float(self.value)}
         if self.threshold is not None:
             out.update(threshold=float(self.threshold), op=self.op, passed=self.passed)
-        if self.sample_count is not None:
-            out["sample_count"] = int(self.sample_count)
-        if self.seed is not None:
-            out["seed"] = int(self.seed)
         return out
 
 

@@ -9,12 +9,11 @@ variable, which is how acceptance runs pin alternate inputs.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from pathlib import Path
 
-from .config import ConfigError, _json_number, _kind, _require
+from .config import ConfigError, _json_number, _kind, _read_json, _require
 from .models import Gmm, MvScene
 
 PRESET_ENV = "COUPLED_SAMPLER_PRESETS"
@@ -36,13 +35,14 @@ def list_presets() -> list:
 
 
 def load_preset(name: str):
-    """The parsed JSON of preset file name; the kind's reader checks it."""
+    """The parsed JSON of preset file name; the kind's reader checks it. A
+    file that is not UTF-8 JSON raises ConfigError naming the file."""
     if not _NAME_RE.match(name):
         raise ValueError(f"invalid preset name {name!r}")
     path = preset_dir() / f"{name}.json"
     if not path.is_file():
         raise ValueError(f"unknown preset {name!r} (searched {path.parent})")
-    return json.loads(path.read_text())
+    return _read_json(path)
 
 
 def gmm_preset_names() -> list:

@@ -27,6 +27,10 @@ its n points (one per coupling strength of a sweep): x_T and each step's
 noise are drawn once per chain and serve every copy, and the step runs on
 chunks of whole copies of at most _CHUNK_ELEMENTS rows x d, one pass per
 chain and then one guidance call for all chains.
+
+A run returns a SampleBatch per chain: its final (n, d) samples and, when
+recorded, its Trajectory. The seed and the config fingerprint describe the
+run, not its samples; the CLI records them (see config_fingerprint).
 """
 
 from __future__ import annotations
@@ -105,8 +109,6 @@ class Trajectory:
 @dataclass(frozen=True)
 class SampleBatch:
     samples: np.ndarray  # (n, d)
-    seed: int
-    fingerprint: str
     trajectory: Trajectory | None = None
 
 
@@ -239,9 +241,4 @@ def sample(model: ScoreModel, schedule: NoiseSchedule, config: SamplerConfig,
         [model], [NoiseStream(seed)], ["chain"], schedule, steps,
         config, n,
     )
-    return SampleBatch(
-        samples=x,
-        seed=int(seed),
-        fingerprint=config_fingerprint(model, schedule, config),
-        trajectory=trajectory,
-    )
+    return SampleBatch(samples=x, trajectory=trajectory)

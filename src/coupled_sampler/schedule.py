@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,8 @@ DEFAULT_FLOW_TIME_MIN = 1e-6
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
+    """A read-only float64 copy: never a view of the caller's memory."""
+    arr = np.array(arr, dtype=np.float64, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -42,29 +43,25 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Per-step variance schedule beta_t with derived alpha_bar_t, the
-    running product of 1 - beta_s over s <= t."""
+    running product of 1 - beta_s over s <= t. NoiseSchedule(beta) is the
+    one constructor: alpha_bar is always derived, never passed."""
 
     beta: np.ndarray
-    alpha_bar: np.ndarray
+    alpha_bar: np.ndarray = field(init=False)
 
-    @classmethod
-    def from_betas(cls, beta) -> "NoiseSchedule":
-        beta = _readonly(beta)
+    def __post_init__(self):
+        beta = _readonly(self.beta)
         if beta.ndim != 1 or beta.size == 0:
             raise ValueError("beta must be a non-empty 1-d sequence")
         if not np.all((beta > 0.0) & (beta < 1.0)):
             raise ValueError("every beta_t must lie strictly inside (0, 1)")
-        sched = cls(beta=beta, alpha_bar=_readonly(np.cumprod(1.0 - beta)))
-        sched._validate()
-        return sched
-
-    def _validate(self) -> None:
-        ab = self.alpha_bar
+        ab = _readonly(np.cumprod(1.0 - beta))
         if ab[-1] <= 0.0:
             raise ValueError("alpha_bar_T must stay positive")
-        prev = np.concatenate([[1.0], ab[:-1]])
-        if not np.all(ab < prev):
+        if not np.all(ab < np.concatenate([[1.0], ab[:-1]])):
             raise ValueError("alpha_bar must be strictly decreasing from alpha_bar_0 = 1")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha_bar", ab)
 
     @property
     def num_steps(self) -> int:
@@ -97,7 +94,7 @@ class NoiseSchedule:
         """The inverse of to_json_dict: {"beta", "num_steps", "alpha_bar_sha256"},
         the last two optional; an unknown key is refused."""
         f = _require(doc, "", _JSON_KEYS)
-        sched = cls.from_betas(f["beta"])
+        sched = cls(f["beta"])
         if f.get("num_steps", sched.num_steps) != sched.num_steps:
             raise ValueError("num_steps does not match beta length")
         checksum = _alpha_bar_checksum(sched.alpha_bar)
@@ -123,7 +120,7 @@ def build_linear(num_steps: int, beta_start: float, beta_end: float) -> NoiseSch
         raise ValueError("num_steps must be >= 1")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError("need 0 < beta_start <= beta_end < 1")
-    return NoiseSchedule.from_betas(np.linspace(beta_start, beta_end, num_steps))
+    return NoiseSchedule(np.linspace(beta_start, beta_end, num_steps))
 
 
 def shift_schedule(sched: NoiseSchedule, shift: float) -> NoiseSchedule:
@@ -142,7 +139,7 @@ def shift_schedule(sched: NoiseSchedule, shift: float) -> NoiseSchedule:
     ab = snr_shifted / (1.0 + snr_shifted)
     prev = np.concatenate([[1.0], ab[:-1]])
     beta = 1.0 - ab / prev
-    return NoiseSchedule.from_betas(beta)
+    return NoiseSchedule(beta)
 
 
 def edm_sigma_to_alpha_bar(sigma):
@@ -228,7 +225,3 @@ def snr_log_grid() -> np.ndarray:
 
 def schedule_to_json(sched: NoiseSchedule) -> str:
     return json.dumps(sched.to_json_dict(), sort_keys=True)
-
-
-def schedule_from_json(text: str) -> NoiseSchedule:
-    return NoiseSchedule.from_json_dict(json.loads(text))

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from coupled_sampler.verify import VerifyCheck
 
 
 SCHEDULE = {"num_steps": 60, "beta_start": 1e-3, "beta_end": 0.2}
+README_SCHEDULE = {"num_steps": 200, "beta_start": 1e-4, "beta_end": 0.115}
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -44,11 +46,12 @@ def couple_config(**extra):
     return doc
 
 
-# a path that exists but cannot be read as UTF-8 text, and the error it gives
+# a path that exists but cannot be read as UTF-8 JSON, and the error it gives
 _UNREADABLE = pytest.mark.parametrize("make, msg", [
     (lambda p: p.mkdir(), "Is a directory"),
     (lambda p: p.write_bytes(b'{"\xff": 1}'), "is not UTF-8 text"),
-], ids=["directory", "not_utf8"])
+    (lambda p: p.write_text('{"n": 1,'), "is not valid JSON (line 1)"),
+], ids=["directory", "not_utf8", "not_json"])
 
 
 class TestSampleCommand:
@@ -250,6 +253,26 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(out_a)]) == 0
         assert main(["sweep", "--config", cfg, "--out", str(out_b)]) == 0
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, doc, fingerprints", [
+    ("sample", {"model": "bimodal-2d"}, {"fingerprint": "52c7839c5d2fd330"}),
+    ("couple", {"pair": "separated-pair"},
+     {"fingerprint_a": "2338322bb9f46f3b", "fingerprint_b": "2fa1630c2dad0272"}),
+    ("couple", {"scene": "mv-triangle"},
+     {"fingerprint_a": "b339f609ad9d2848", "fingerprint_b": "9aace409bb135c36"}),
+    ("sweep", {"pair": "separated-pair", "lambda_grid": [0.0, 1.0, 4.0]}, {}),
+], ids=["sample", "couple_pair", "couple_scene", "sweep"])
+def test_run_record(tmp_path, command, doc, fingerprints):
+    # every metrics.json row carries the run's n and seed; the fingerprints,
+    # which depend on neither, are those earlier versions wrote
+    doc = dict(doc, schedule=README_SCHEDULE, n=12, seed=31)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics and all(m["sample_count"] == 12 and m["seed"] == 31 for m in metrics)
+    run = json.loads((out / "run.json").read_text())
+    assert run == {"command": command, "seed": 31, **fingerprints, "config": doc}
 
 
 def _set_lambda(doc, value):
@@ -660,8 +683,7 @@ class TestVerifyCommand:
     def stub_checks(monkeypatch, failing, hard):
         def run_verify():
             return [
-                VerifyCheck(MetricReport.thresholded(name, 2.0 if name == failing else 0.0,
-                                                     1.0, "le"),
+                VerifyCheck(MetricReport(name, 2.0 if name == failing else 0.0, 1.0, "le"),
                             hard=hard if name == failing else True)
                 for name, _ in VERIFY_CHECKS
             ]
@@ -737,6 +759,25 @@ def test_malformed_preset_file_rejected(tmp_path, monkeypatch, capsys, text, key
     assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("data, msg", [
+    (b'{"kind": "gmm", "weights": [1.0] "means": [[0.0]]}', "is not valid JSON (line 1)"),
+    (b'{"kind": "gmm", "\xff": 1}', "is not UTF-8 text"),
+], ids=["not_json", "not_utf8"])
+def test_unreadable_preset_file_named(tmp_path, monkeypatch, capsys, data, msg):
+    root = tmp_path / "presets"
+    shutil.copytree(_SHIPPED_PRESETS, root)
+    (root / "broken.json").write_bytes(data)
+    monkeypatch.setenv("COUPLED_SAMPLER_PRESETS", str(root))
+    cfg = write_config(tmp_path, sample_config(model="broken"))
+    out = tmp_path / "out"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error: model: {root / 'broken.json'} {msg}" in capsys.readouterr().err
+    assert not out.exists()
+    # verify reads every preset file, and names the same one
+    assert main(["verify"]) == 2
+    assert f"config error: {root / 'broken.json'} {msg}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "3.5", "null"], ids=["array", "number", "null"])
@@ -833,3 +874,30 @@ def test_dtrtrs_is_scipy_lapack_dtrtrs(first, second, fresh_python):
             "print(sys.modules['scipy.linalg.lapack'].dtrtrs "
             "is sys.modules['coupled_sampler.models'].dtrtrs)")
     assert fresh_python(code) == "True"
+
+
+def test_artifacts_same_bits_at_one_and_two_blas_threads(tmp_path, fresh_python):
+    runs = [(command, dict(doc, n=1024)) for command, doc in _readme_configs().values()]
+    runs.append(("couple", {"scene": "mv-triangle", "schedule": README_SCHEDULE, "n": 64,
+                            "seed": 3, "svg": True}))
+    code = (
+        "import contextlib, hashlib, io, json, sys\n"
+        "from pathlib import Path\n"
+        "from coupled_sampler.cli import main\n"
+        "root = Path(sys.argv[1])\n"
+        f"for i, (command, doc) in enumerate({runs!r}):\n"
+        "    cfg, out = root / f'{i}.json', root / str(i)\n"
+        "    cfg.write_text(json.dumps(doc))\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([command, '--config', str(cfg), '--out', str(out)]) == 0\n"
+        "    for f in sorted(out.iterdir()):\n"
+        "        print(i, f.name, hashlib.sha256(f.read_bytes()).hexdigest())\n"
+    )
+    hashes = {}
+    for threads in ("1", "2"):
+        root = tmp_path / threads
+        root.mkdir()
+        hashes[threads] = fresh_python(f"import sys; sys.argv = ['-', {str(root)!r}]\n" + code,
+                                       OPENBLAS_NUM_THREADS=threads)
+    assert len(hashes["1"].splitlines()) == 20  # 4 + 6 + 4 + 6 artifacts
+    assert hashes["1"] == hashes["2"]

@@ -314,8 +314,6 @@ class TestCoupledSweep:
                               (run.coupling_series, solo.coupling_series),
                               (run.series_steps, solo.series_steps)):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
-            assert run.batch_a.fingerprint == solo.batch_a.fingerprint
-            assert run.batch_b.seed == solo.batch_b.seed
 
     @pytest.mark.parametrize("n", [1, 2, 37, 2048])
     @pytest.mark.parametrize("source", ["separated-pair", "mv-triangle"])

@@ -312,24 +312,24 @@ class TestConsistencyResidual:
 
 class TestMetricReport:
     def test_threshold_pass_logic(self):
-        r = MetricReport.thresholded("m", 0.5, 1.0, "le")
-        assert r.passed
-        r = MetricReport.thresholded("m", 0.5, 1.0, "ge")
-        assert not r.passed
+        assert MetricReport("m", 0.5, 1.0, "le").passed is True
+        assert MetricReport("m", 0.5, 1.0, "ge").passed is False
+        # a Python bool, also for numpy inputs
+        assert MetricReport("m", np.float32(0.5), np.float64(1.0), "le").passed is True
+        assert MetricReport("m", 0.5).passed is None
 
     def test_pass_iff_threshold(self):
         with pytest.raises(ValueError):
             MetricReport("m", 1.0, threshold=2.0)
         with pytest.raises(ValueError):
-            MetricReport("m", 1.0, passed=True)
+            MetricReport("m", 1.0, op="le")
+        with pytest.raises(ValueError):
+            MetricReport("m", 1.0, 2.0, "lt")
 
     def test_dict_round_trip(self):
-        r = MetricReport.thresholded("m", 0.5, 1.0, "le", sample_count=10, seed=3)
-        d = r.to_dict()
-        assert d == {
-            "name": "m", "value": 0.5, "threshold": 1.0, "op": "le",
-            "passed": True, "sample_count": 10, "seed": 3,
-        }
+        d = MetricReport("m", 0.5, 1.0, "le").to_dict()
+        assert d == {"name": "m", "value": 0.5, "threshold": 1.0, "op": "le", "passed": True}
+        assert MetricReport("m", np.float64(0.5)).to_dict() == {"name": "m", "value": 0.5}
 
 
 class TestSweepSummary:

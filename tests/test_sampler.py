@@ -124,7 +124,6 @@ class TestSample:
         a = sample(std_normal_model(), sched, cfg, seed=9, n=64)
         b = sample(std_normal_model(), sched, cfg, seed=9, n=64)
         assert np.array_equal(a.samples, b.samples)
-        assert a.fingerprint == b.fingerprint
         c = sample(std_normal_model(), sched, cfg, seed=10, n=64)
         assert not np.array_equal(a.samples, c.samples)
 

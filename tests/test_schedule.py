@@ -12,7 +12,6 @@ from coupled_sampler.schedule import (
     build_linear,
     edm_sigma_to_alpha_bar,
     flow_time_to_alpha_bar,
-    schedule_from_json,
     schedule_to_json,
     shift_schedule,
     snr_log_grid,
@@ -58,8 +57,8 @@ class TestBuildLinear:
         with pytest.raises(ValueError, match="strictly decreasing"):
             build_linear(20, 1e-17, 0.3)
         with pytest.raises(ValueError, match="strictly decreasing"):
-            NoiseSchedule.from_betas([1e-17, 0.1])
-        assert NoiseSchedule.from_betas([1e-16, 0.1]).alpha_bar[0] < 1.0
+            NoiseSchedule([1e-17, 0.1])
+        assert NoiseSchedule([1e-16, 0.1]).alpha_bar[0] < 1.0
 
 
 class TestShift:
@@ -69,7 +68,7 @@ class TestShift:
 
     def test_single_step_snr_algebra(self):
         # alpha_bar 0.5 -> SNR 1 -> shifted SNR 0.25 -> alpha_bar 0.2
-        s = NoiseSchedule.from_betas([0.5])
+        s = NoiseSchedule([0.5])
         out = shift_schedule(s, 2.0)
         assert out.alpha_bar[0] == pytest.approx(0.2, rel=1e-14)
 
@@ -149,8 +148,8 @@ class TestAlignment:
 
     def test_hand_case(self):
         # exhaustive log-SNR comparison over all 6 pairs picks (1,1), (2,2)
-        src = NoiseSchedule.from_betas([0.1, 1 - 0.5 / 0.9])
-        tgt = NoiseSchedule.from_betas([0.05, 1 - 0.5 / 0.95, 0.8])
+        src = NoiseSchedule([0.1, 1 - 0.5 / 0.9])
+        tgt = NoiseSchedule([0.05, 1 - 0.5 / 0.95, 0.8])
         assert src.alpha_bar == pytest.approx([0.9, 0.5], rel=1e-12)
         assert tgt.alpha_bar == pytest.approx([0.95, 0.5, 0.1], rel=1e-12)
         a = align_schedules(src, tgt)
@@ -162,8 +161,8 @@ class TestAlignment:
         rng = np.random.default_rng(7)
         for _ in range(25):
             t_a, t_b = rng.integers(2, 40, size=2)
-            sa = NoiseSchedule.from_betas(np.sort(rng.uniform(1e-4, 0.5, t_a)))
-            sb = NoiseSchedule.from_betas(np.sort(rng.uniform(1e-4, 0.5, t_b)))
+            sa = NoiseSchedule(np.sort(rng.uniform(1e-4, 0.5, t_a)))
+            sb = NoiseSchedule(np.sort(rng.uniform(1e-4, 0.5, t_b)))
             targets = [tgt for _, tgt in align_schedules(sa, sb).mapping]
             assert all(b >= a for a, b in zip(targets, targets[1:]))
 
@@ -171,7 +170,7 @@ class TestAlignment:
 class TestSerialization:
     def test_round_trip(self):
         s = build_linear(20, 0.01, 0.2)
-        out = schedule_from_json(schedule_to_json(s))
+        out = NoiseSchedule.from_json_dict(json.loads(schedule_to_json(s)))
         assert np.array_equal(out.beta, s.beta)
         assert np.array_equal(out.alpha_bar, s.alpha_bar)
 
@@ -197,6 +196,23 @@ def test_schedules_are_immutable():
     s = build_linear(5, 0.1, 0.2)
     with pytest.raises(ValueError):
         s.beta[0] = 0.5
+
+
+def test_alpha_bar_is_derived_never_passed():
+    # an increasing alpha_bar was once accepted unchecked, in the caller's
+    # writable array
+    with pytest.raises(TypeError):
+        NoiseSchedule(beta=np.array([0.1, 0.2]), alpha_bar=np.array([0.5, 0.9]))
+    beta = np.array([0.1, 0.2, 0.05])
+    s = NoiseSchedule(beta)
+    assert s.alpha_bar.tobytes() == np.cumprod(1.0 - beta).tobytes()
+    assert not s.beta.flags.writeable and not s.alpha_bar.flags.writeable
+    # a schedule holds copies: the caller's array stays writable, and
+    # writing it, or the base of a view passed in, leaves the schedule as is
+    assert beta.flags.writeable
+    from_view = NoiseSchedule(beta[:2])
+    beta[:] = 0.5
+    assert s.beta.tolist() == [0.1, 0.2, 0.05] and from_view.beta.tolist() == [0.1, 0.2]
 
 
 def test_alpha_bar_at_convention():

@@ -100,7 +100,6 @@ class EnergyTestResult:
     null_quantile: float
     p_value: float
     passed: bool
-    n_permutations: int
 
 
 def energy_permutation_test(cloud_a, cloud_b, rng: np.random.Generator,
@@ -196,7 +195,6 @@ def energy_permutation_test(cloud_a, cloud_b, rng: np.random.Generator,
         null_quantile=float(np.ldexp(thresh, exponent)),
         p_value=p_value,
         passed=bool(observed <= thresh),
-        n_permutations=n_permutations,
     )
 
 

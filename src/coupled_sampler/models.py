@@ -17,11 +17,8 @@ points are held component-major, (K, m), so every array op runs on a
 contiguous row of length m, not on m rows of length K. Each sum over the
 components adds in the order numpy takes on the point-major (m, K) layout:
 np.sum's pairwise row sum in the logsumexp, einsum's sequence in the mix.
-The bits therefore equal scipy's logsumexp kernel on that layout. The noised
-means, factors, log weights and log-determinants of one noise level form a
-table; GmmScoreModel caches one table per alpha_bar it has seen, so the
-reverse steps of every run on one model instance share them.
-GmmVelocityModel likewise caches one flow-level table per flow time.
+The bits therefore equal scipy's logsumexp kernel on that layout. A model
+keeps one level table, its last level's: the chunks of one step share it.
 
 The triangular solves call LAPACK dtrtrs from scipy.linalg._flapack, the
 extension scipy.linalg.lapack re-exports. The module loads that extension
@@ -93,6 +90,8 @@ class Gmm:
         covs = np.asarray(covariances, dtype=np.float64)
         if not np.all(np.isfinite(covs)):
             raise ValueError("covariances must be finite")
+        if covs.ndim >= 2 and not np.array_equal(covs, np.swapaxes(covs, -1, -2)):
+            raise ValueError("covariances must be symmetric")
         try:
             factors = np.linalg.cholesky(covs)
         except np.linalg.LinAlgError as exc:
@@ -168,6 +167,20 @@ def _noised_level(g: Gmm, alpha_bar: float) -> _Level:
 
 def _flow_level(g: Gmm, t_flow: float) -> _Level:
     return _level(g, t_flow, t_flow**2, (1.0 - t_flow) ** 2)
+
+
+class _LastLevel:
+    """build(key) of the last key asked, held as one (key, table) tuple."""
+
+    def __init__(self, build):
+        self._build = build
+        self.last = (None, None)
+
+    def __call__(self, key: float) -> _Level:
+        last = self.last
+        if last[0] != key:
+            last = self.last = (key, self._build(key))
+        return last[1]
 
 
 def _load_flapack():
@@ -330,21 +343,18 @@ def gmm_noised_log_density(g: Gmm, x, alpha_bar: float):
     return _mixture_eval(x, _noised_level(g, alpha_bar), want_score=False)
 
 
-def _epsilon(g: Gmm, x, alpha_bar: float, levels: dict):
-    """gmm_epsilon, reading the level table from levels and filling it on a miss."""
+def _epsilon(x, alpha_bar: float, level_at):
+    """gmm_epsilon, reading the level table from level_at(alpha_bar)."""
     alpha_bar = float(alpha_bar)
     if not 0.0 < alpha_bar < 1.0:
         raise ValueError("alpha_bar must lie in (0, 1) for epsilon")
-    level = levels.get(alpha_bar)
-    if level is None:
-        level = levels[alpha_bar] = _noised_level(g, alpha_bar)
-    _, score = _mixture_eval(x, level, want_score=True)
+    _, score = _mixture_eval(x, level_at(alpha_bar), want_score=True)
     return -math.sqrt(1.0 - alpha_bar) * score
 
 
 def gmm_epsilon(g: Gmm, x, alpha_bar: float):
     """Exact epsilon-prediction; undefined at zero noise (alpha_bar = 1)."""
-    return _epsilon(g, x, alpha_bar, {})
+    return _epsilon(x, alpha_bar, lambda ab: _noised_level(g, ab))
 
 
 def gmm_sample(g: Gmm, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -376,14 +386,14 @@ class ScoreModel(ABC):
 class GmmScoreModel(ScoreModel):
     def __init__(self, gmm: Gmm):
         self.gmm = gmm
-        self._levels = {}  # alpha_bar -> _Level, built on first use
+        self._level_at = _LastLevel(lambda ab: _noised_level(gmm, ab))
 
     @property
     def dim(self) -> int:
         return self.gmm.dim
 
     def predict_epsilon(self, x, t, schedule):
-        return _epsilon(self.gmm, x, schedule.alpha_bar_at(t), self._levels)
+        return _epsilon(x, schedule.alpha_bar_at(t), self._level_at)
 
     def describe(self) -> dict:
         return {"kind": "gmm", **self.gmm.to_dict()}
@@ -426,21 +436,16 @@ def gmm_flow_log_density(g: Gmm, x, t_flow: float):
     return _mixture_eval(x, _flow_level(g, t_flow), want_score=False)
 
 
-def _velocity(g: Gmm, x, t_flow: float, levels: dict):
-    """velocity_from_gmm, reading the flow level and t Sigma_j from levels
-    and filling them on a miss."""
+def _velocity(g: Gmm, x, t_flow: float, level_at):
+    """velocity_from_gmm, reading the flow level from level_at(t_flow)."""
     t_flow = float(t_flow)
     if not 0.0 < t_flow < 1.0:
         raise ValueError("t_flow must lie strictly inside (0, 1)")
-    entry = levels.get(t_flow)
-    if entry is None:
-        entry = levels[t_flow] = (_flow_level(g, t_flow), t_flow * g.covariances())
-    level, scaled_sigmas = entry
     # whitened[j] = C_j^-1 (x - t mu_j), (d, m)
-    batch, log_comp, whitened = _component_terms(x, level, whiten=True)
+    batch, log_comp, whitened = _component_terms(x, level_at(t_flow), whiten=True)
     comp_v = [
-        (g.means[j] + (scaled_sigmas[j] @ u).T) - (1.0 - t_flow) * u.T  # E[x_0] - E[eps]
-        for j, u in enumerate(whitened)
+        (mu + (t_flow * sigma @ u).T) - (1.0 - t_flow) * u.T  # E[x_0] - E[eps]
+        for mu, sigma, u in zip(g.means, g.covariances(), whitened)
     ]  # K arrays (m, d)
     resp = np.exp(log_comp - _logsumexp(log_comp))
     return _mix(resp, comp_v).reshape(batch + (g.dim,))
@@ -453,7 +458,7 @@ def velocity_from_gmm(g: Gmm, x, t_flow: float):
     responsibilities, independently of the score identity it is used to
     verify.
     """
-    return _velocity(g, x, t_flow, {})
+    return _velocity(g, x, t_flow, lambda t: _flow_level(g, t))
 
 
 def score_from_velocity(v, x, t_flow: float):
@@ -473,14 +478,14 @@ class GmmVelocityModel:
 
     def __init__(self, gmm: Gmm):
         self.gmm = gmm
-        self._levels = {}  # t_flow -> (_Level, t_flow * covariances), built on first use
+        self._level_at = _LastLevel(lambda t: _flow_level(gmm, t))
 
     @property
     def dim(self) -> int:
         return self.gmm.dim
 
     def velocity(self, x, t_flow):
-        return _velocity(self.gmm, x, t_flow, self._levels)
+        return _velocity(self.gmm, x, t_flow, self._level_at)
 
     def describe(self) -> dict:
         return {"kind": "gmm_velocity", **self.gmm.to_dict()}

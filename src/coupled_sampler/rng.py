@@ -26,6 +26,8 @@ _MAX_SEED = 2**64
 
 
 def _check_seed(seed: int) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     seed = int(seed)
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be a u64, got {seed}")

@@ -361,6 +361,9 @@ def _set_mixture(**fields):
 
 _ONE_DIM = {"weights": [1.0], "means": [[0.0]], "covariances": [[[1.0]]]}
 
+# Cholesky would read the lower triangle only and run this as the identity
+_ASYMMETRIC = [[1.0, 5.0], [0.0, 1.0]]
+
 
 def _one_dim_svg(doc):
     if "model" in doc:
@@ -436,6 +439,11 @@ def _tiny_shift(doc):
     ("sample", _set_mixture(weights=["1.0"]), "model: weights: expected a number"),
     ("sample", _set_mixture(covariances=[[[True, 0], [0, True]]]),
      "model: covariances: expected a number"),
+    ("sample", _set_mixture(covariances=[_ASYMMETRIC]), "model: covariances must be symmetric"),
+    ("couple", _set_pair(model_b=dict(_MIXTURE, covariances=[_ASYMMETRIC])),
+     "pair: model_b: covariances must be symmetric"),
+    ("couple", _set_scene(latent=dict(_MIXTURE, covariances=[_ASYMMETRIC])),
+     "scene: latent: covariances must be symmetric"),
     ("couple", _set_pair(model_a="bimodal-2d"), "pair: model_a: expected an object"),
     ("couple", _set_scene(latent=[1, 2]), "scene: latent: expected an object"),
     ("sample", _set_mixture(extra=1), "model: extra: unknown key"),
@@ -475,7 +483,9 @@ def _tiny_shift(doc):
         "shift_too_small", "reference_inf", "reference_nan", "reference_bool",
         "reference_string", "reference_list", "scene_float_view_dim", "scene_float_n_views",
         "scene_string_n_views", "mixture_bool_weight", "mixture_string_weight",
-        "mixture_bool_covariance", "pair_model_a_string", "scene_latent_list",
+        "mixture_bool_covariance", "mixture_asymmetric_covariance",
+        "pair_model_b_asymmetric_covariance", "scene_latent_asymmetric_covariance",
+        "pair_model_a_string", "scene_latent_list",
         "mixture_unknown_key", "pair_unknown_key", "reference_unknown_key",
         "scene_unknown_key", "pair_missing_model_b", "pair_model_b_string_weight",
         "scene_wrong_kind", "scene_over_joint_cap", "scene_one_view", "scene_zero_jitter",
@@ -588,6 +598,13 @@ class TestScheduleCommand:
     def test_convert_rejects_bad_values(self, capsys):
         assert main(["schedule", "convert", "--source", "sigma",
                      "--values", "-1"]) == 2
+
+    @pytest.mark.parametrize("values", ["0.5,,80,", "0.5,80,", ",0.5", "", " "],
+                             ids=["inner_and_trailing", "trailing", "leading", "empty", "blank"])
+    def test_convert_rejects_empty_items(self, capsys, values):
+        assert main(["schedule", "convert", "--source", "sigma", "--values", values]) == 2
+        captured = capsys.readouterr()
+        assert "config error: --values: " in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("source", ["sigma", "alpha-bar", "flow-time"])
     @pytest.mark.parametrize("values", ["nan,0.5", "inf"])

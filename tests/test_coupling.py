@@ -333,6 +333,25 @@ class TestCoupledSweep:
         else:
             assert set(rows) == {n}
 
+    def test_one_table_per_model_per_step(self, monkeypatch):
+        ma, mb = (_Spy(m) for m in chain_models("mv-triangle"))
+        n, steps = 16, 12
+        monkeypatch.setattr(sampler, "_CHUNK_ELEMENTS", n * ma.dim)  # one copy per chunk
+        builds = []
+        build = models._noised_level
+
+        def counted(g, alpha_bar):
+            builds.append((id(g), alpha_bar))
+            return build(g, alpha_bar)
+
+        monkeypatch.setattr(models, "_noised_level", counted)
+        coupled_sweep(ma, mb, build_linear(steps, 1e-2, 0.3), SamplerConfig(),
+                      [CouplingConfig(lam=lam) for lam in (0.0, 0.5, 1.0, 2.0, 4.0)], 3, n)
+        assert len(ma.rows) == len(mb.rows) == 5 * steps  # five chunks per step
+        # the chunks of a step share the table of its level
+        assert len(builds) == len(set(builds)) == 2 * steps
+        assert len({g for g, _ in builds}) == 2
+
     @pytest.mark.parametrize("cfg", [SamplerConfig(), SamplerConfig(step_subset=(30, 17, 4, 1))],
                              ids=["all_steps", "step_subset"])
     @pytest.mark.parametrize("copies", [1, 3, 5])

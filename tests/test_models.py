@@ -9,6 +9,7 @@ import scipy
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
+from coupled_sampler import models
 from coupled_sampler.models import (
     BlockProductModel,
     Gmm,
@@ -80,6 +81,16 @@ class TestGmmConstruction:
     def test_rejects_non_positive_definite(self):
         with pytest.raises(ValueError, match="positive definite"):
             Gmm.from_covariances([1.0], [[0.0, 0.0]], [[[1.0, 2.0], [2.0, 1.0]]])
+
+    # Cholesky reads only the lower triangle: the first ran as the identity
+    @pytest.mark.parametrize("cov", [
+        [[1.0, 5.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.9, 1.0]],
+        [[1.0, math.nextafter(0.5, 1.0)], [0.5, 1.0]],
+    ], ids=["upper_only", "lower_only", "one_ulp_apart"])
+    def test_rejects_non_symmetric(self, cov):
+        with pytest.raises(ValueError, match="covariances must be symmetric"):
+            Gmm.from_covariances([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [np.eye(2), cov])
 
     def test_round_trip_dict(self):
         rng = np.random.default_rng(0)
@@ -421,9 +432,9 @@ class TestVelocity:
         g = random_gmm(rng, k=3, d=3)
         model = GmmVelocityModel(g)
         x = rng.normal(scale=1.5, size=(40, 3))
-        for t in (0.1, 0.5, 0.9, 0.5):  # 0.5 again: a cache hit
+        for t in (0.1, 0.5, 0.5, 0.9, 0.5):  # 0.5 twice in a row: a memo hit
             assert np.array_equal(model.velocity(x, t), velocity_from_gmm(g, x, t))
-        assert sorted(model._levels) == [0.1, 0.5, 0.9]
+        assert model._level_at.last[0] == 0.5
 
 
 class TestScoreFromVelocity:
@@ -639,11 +650,35 @@ def test_missing_lapack_extension_names_paths_searched(tmp_path, monkeypatch):
     assert str(tmp_path / "linalg" / "_flapack") in str(info.value)
 
 
-def test_score_model_tables_die_with_the_model():
+@pytest.fixture
+def built_tables(monkeypatch):
+    """Weak references to the means of every noised level table built."""
+    refs = []
+    build = models._noised_level
+
+    def spy(g, alpha_bar):
+        level = build(g, alpha_bar)
+        refs.append(weakref.ref(level.means))
+        return level
+
+    monkeypatch.setattr(models, "_noised_level", spy)
+    return refs
+
+
+def test_score_model_holds_one_table(built_tables):
     g = random_gmm(np.random.default_rng(14), k=2, d=2)
     model = GmmScoreModel(g)
     sample(model, build_linear(50, 1e-3, 0.2), SamplerConfig(), seed=0, n=16)
-    refs = [weakref.ref(g)] + [weakref.ref(level.means) for level in model._levels.values()]
+    assert len(built_tables) == 50
+    gc.collect()
+    assert [ref() is not None for ref in built_tables] == [False] * 49 + [True]
+
+
+def test_score_model_tables_die_with_the_model(built_tables):
+    g = random_gmm(np.random.default_rng(14), k=2, d=2)
+    model = GmmScoreModel(g)
+    sample(model, build_linear(50, 1e-3, 0.2), SamplerConfig(), seed=0, n=16)
+    refs = [weakref.ref(g)] + built_tables
     assert len(refs) == 51
     del g, model
     gc.collect()

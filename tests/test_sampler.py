@@ -127,6 +127,18 @@ class TestSample:
         c = sample(std_normal_model(), sched, cfg, seed=10, n=64)
         assert not np.array_equal(a.samples, c.samples)
 
+    @pytest.mark.parametrize("seed", [7.9, 7.0, True, "7", None])
+    def test_seed_must_be_an_integer(self, seed):
+        sched = build_linear(10, 1e-3, 0.2)
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            sample(std_normal_model(), sched, SamplerConfig(), seed=seed, n=4)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        sched = build_linear(10, 1e-3, 0.2)
+        a = sample(std_normal_model(), sched, SamplerConfig(), seed=np.uint64(7), n=8)
+        b = sample(std_normal_model(), sched, SamplerConfig(), seed=7, n=8)
+        assert a.samples.tobytes() == b.samples.tobytes()
+
     def test_single_gaussian_moments(self):
         # T = 200 chain against closed-form target moments, CLT-size bounds
         mu = np.array([1.5, -0.5])

@@ -2,8 +2,9 @@
 
 Subcommands: sample, couple, sweep, schedule, verify. Run parameters beyond
 paths and the seed live in a JSON config so runs are archivable and
-diffable. Exit codes: 0 success, 1 runtime or property failure, 2 config
-validation failure.
+diffable. Exit codes: 0 success, 1 runtime failure or a failed hard verify
+check, 2 config validation failure. A run command records a failed checked
+metric as `passed: false` in metrics.json and still exits 0.
 """
 
 from __future__ import annotations
@@ -184,18 +185,17 @@ def _load_config(path: str, seed_override) -> dict:
 
 
 def _resolve_couple_models(fields):
-    """-> (model_a, model_b, gmm_a, gmm_b, scene, reference)."""
+    """-> (model_a, model_b, scene, reference)."""
     if ("pair" in fields) == ("scene" in fields):
         raise ConfigError("config: exactly one of pair or scene is required")
     if "scene" in fields:
         scene = fields["scene"]
         with _building("scene"):
-            model_a, model_b = mv_chain_models(scene)
-        return model_a, model_b, None, model_b.gmm, scene, {}
+            return (*mv_chain_models(scene), scene, {})
     gmm_a, gmm_b, reference = fields["pair"]
     if gmm_a.dim != gmm_b.dim:
         raise ConfigError("pair: model_b: coupled models must share a dimension")
-    return GmmScoreModel(gmm_a), GmmScoreModel(gmm_b), gmm_a, gmm_b, None, reference
+    return GmmScoreModel(gmm_a), GmmScoreModel(gmm_b), None, reference
 
 
 def _check_svg(fields, dim: int):
@@ -286,29 +286,28 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _median_residual(scene, batch) -> float:
-    return float(np.median(consistency_residual(batch.samples, scene.n_views, scene.view_dim)))
-
-
-def _couple_reports(result, gmm_a, gmm_b, scene, reference):
-    summary = coupling_distance(result.batch_a, result.batch_b)
-    reports = [
-        MetricReport("coupling-median", summary.median),
-        MetricReport("coupling-mean", summary.mean),
-        MetricReport("coupling-p90", summary.p90),
-    ]
-    if gmm_a is not None:
-        reports.append(MetricReport("nll-a", gmm_nll(gmm_a, result.batch_a)))
-    reports.append(MetricReport("nll-b", gmm_nll(gmm_b, result.batch_b)))
+def _lambda_numbers(result, model_a, model_b, scene) -> dict:
+    """Every number of one coupled result, keyed by report name. On a scene,
+    nll-a is chain A's mean NLL per view under the edit mixture, nll-b chain
+    B's per joint point, and each residual a chain's median view residual."""
+    a, b = result.batch_a.samples, result.batch_b.samples
+    summary = coupling_distance(a, b)
+    if scene is None:
+        nll_a = gmm_nll(model_a.gmm, a)
+    else:
+        nll_a = gmm_nll(scene.edit_gmm, a.reshape(-1, scene.view_dim))
+    numbers = {
+        "coupling-median": summary.median,
+        "coupling-mean": summary.mean,
+        "coupling-p90": summary.p90,
+        "nll-a": nll_a,
+        "nll-b": gmm_nll(model_b.gmm, b),
+    }
     if scene is not None:
-        for label, batch in (("a", result.batch_a), ("b", result.batch_b)):
-            reports.append(MetricReport(
-                f"consistency-residual-{label}", _median_residual(scene, batch)))
-    ref = reference.get("coupling_median_lambda0")
-    if ref is not None:
-        reports.append(MetricReport(
-            "coupling-median-vs-lambda0-reference", summary.median, ref, "le"))
-    return reports
+        for label, x in (("a", a), ("b", b)):
+            numbers[f"consistency-residual-{label}"] = float(np.median(
+                consistency_residual(x, scene.n_views, scene.view_dim)))
+    return numbers
 
 
 def cmd_couple(args) -> int:
@@ -318,12 +317,17 @@ def cmd_couple(args) -> int:
     sampler_cfg = parse_sampler_cfg(fields.get("sampler", {}), sched, allow_trajectory=False)
     coupling_cfg = parse_coupling_cfg(fields.get("coupling", {}))
     n, seed = fields["n"], fields["seed"]
-    model_a, model_b, gmm_a, gmm_b, scene, reference = _resolve_couple_models(fields)
+    model_a, model_b, scene, reference = _resolve_couple_models(fields)
     _check_svg(fields, model_a.dim)
     out = _out_path(args)
 
     result = coupled_sample(model_a, model_b, sched, sampler_cfg, coupling_cfg, seed, n)
-    reports = _couple_reports(result, gmm_a, gmm_b, scene, reference)
+    numbers = _lambda_numbers(result, model_a, model_b, scene)
+    reports = [MetricReport(name, value) for name, value in numbers.items()]
+    ref = reference.get("coupling_median_lambda0")
+    if ref is not None:
+        reports.append(MetricReport(
+            "coupling-median-vs-lambda0-reference", numbers["coupling-median"], ref, "le"))
     out.mkdir(parents=True, exist_ok=True)
     _samples_csv(out / "samples_a.csv", result.batch_a.samples)
     _samples_csv(out / "samples_b.csv", result.batch_b.samples)
@@ -359,29 +363,21 @@ def cmd_sweep(args) -> int:
     base_coupling = parse_coupling_cfg(fields.get("coupling", {}), allow_lambda=False)
     couplings = [replace(base_coupling, lam=lam) for lam in grid]
     n, seed = fields["n"], fields["seed"]
-    model_a, model_b, gmm_a, gmm_b, scene, _ = _resolve_couple_models(fields)
+    model_a, model_b, scene, _ = _resolve_couple_models(fields)
     out = _out_path(args)
 
-    points = []
     results = coupled_sweep(model_a, model_b, sched, sampler_cfg, couplings, seed, n)
-    for cpl, result in zip(couplings, results):
-        if scene is None:
-            nll_a, residual_b = gmm_nll(gmm_a, result.batch_a), None
-        else:
-            nll_a = gmm_nll(scene.edit_gmm, result.batch_a.samples.reshape(-1, scene.view_dim))
-            residual_b = _median_residual(scene, result.batch_b)
-        summary = coupling_distance(result.batch_a, result.batch_b)
-        points.append(SweepPoint(
-            lam=cpl.lam, coupling_median=summary.median, nll_a=nll_a,
-            nll_b=gmm_nll(gmm_b, result.batch_b), residual_b=residual_b,
-        ))
-
+    rows = [_lambda_numbers(result, model_a, model_b, scene) for result in results]
+    points = [SweepPoint(lam, r["coupling-median"], r["nll-a"], r["nll-b"])
+              for lam, r in zip(grid, rows)]
     verdicts = sweep_summary(points)
     out.mkdir(parents=True, exist_ok=True)
+    # a pair has no view residual, and a scene's row carries chain B's only
     write_csv(
         out / "sweep.csv",
         ["lambda", "coupling_median", "nll_a", "nll_b", "residual_b"],
-        ([p.lam, p.coupling_median, p.nll_a, p.nll_b, p.residual_b] for p in points),
+        ([p.lam, p.coupling_median, p.nll_a, p.nll_b, r.get("consistency-residual-b")]
+         for p, r in zip(points, rows)),
     )
     reports = [
         MetricReport("sweep-distance-non-increasing",
@@ -390,14 +386,11 @@ def cmd_sweep(args) -> int:
                      1.0 if verdicts.nll_non_decreasing_after_drop else 0.0, 1.0, "ge"),
     ]
     _write_record(out, "sweep", doc, reports, n, seed)
-    lams = [p.lam for p in points]
-    (out / "sweep.svg").write_text(curves_svg(
-        lams,
-        [
-            ("coupling median", [p.coupling_median for p in points], "#1b6ca8"),
-            ("own-model NLL", [0.5 * (p.nll_a + p.nll_b) for p in points], "#d95f02"),
-        ],
-    ))
+    (out / "sweep.svg").write_text(curves_svg(grid, [
+        ("coupling median", [p.coupling_median for p in points], "#1b6ca8"),
+        ("chain A NLL", [p.nll_a for p in points], "#d95f02"),
+        ("chain B NLL", [p.nll_b for p in points], "#7570b3"),
+    ]))
     print(f"wrote {out}/sweep.csv ({len(points)} lambdas)")
     return 0
 

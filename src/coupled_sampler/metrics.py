@@ -229,7 +229,6 @@ class SweepPoint:
     coupling_median: float
     nll_a: float
     nll_b: float
-    residual_b: float | None = None
 
 
 @dataclass(frozen=True)

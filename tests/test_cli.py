@@ -182,7 +182,40 @@ class TestCoupleCommand:
         out = tmp_path / "out"
         assert main(["couple", "--config", cfg, "--out", str(out)]) == 0
         names = {m["name"] for m in json.loads((out / "metrics.json").read_text())}
-        assert {"consistency-residual-a", "consistency-residual-b"} <= names
+        assert {"nll-a", "consistency-residual-a", "consistency-residual-b"} <= names
+
+    def test_failed_check_recorded_and_exits_zero(self, tmp_path):
+        # a run command records a failed check; only verify's hard checks exit 1
+        doc = couple_config()
+        doc["pair"] = dict(load_preset("separated-pair"),
+                           reference={"coupling_median_lambda0": 0.0})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["couple", "--config", cfg, "--out", str(out)]) == 0
+        metrics = {m["name"]: m for m in json.loads((out / "metrics.json").read_text())}
+        assert metrics["coupling-median-vs-lambda0-reference"]["passed"] is False
+
+    @pytest.mark.parametrize("key, name", [("pair", "separated-pair"), ("scene", "mv-triangle")],
+                             ids=["pair", "scene"])
+    def test_couple_reports_the_sweep_row_at_its_lambda(self, tmp_path, key, name):
+        doc = couple_config()
+        del doc["pair"]
+        doc[key] = name
+        assert main(["couple", "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "couple")]) == 0
+        del doc["coupling"]
+        doc["lambda_grid"] = [0.0, 1.0, 2.0]
+        assert main(["sweep", "--config", write_config(tmp_path, doc, name="sweep.json"),
+                     "--out", str(tmp_path / "sweep")]) == 0
+        reported = {m["name"]: m["value"]
+                    for m in json.loads((tmp_path / "couple" / "metrics.json").read_text())}
+        header, *rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        row = dict(zip(header.split(","), rows[1].split(",")))
+        assert row["lambda"] == "1.0"
+        columns = {"coupling-median": "coupling_median", "nll-a": "nll_a", "nll-b": "nll_b"}
+        if key == "scene":
+            columns["consistency-residual-b"] = "residual_b"
+        assert {k: repr(reported[k]) for k in columns} == {k: row[c] for k, c in columns.items()}
 
     def test_lambda_zero_reduces_to_sample_runs(self, tmp_path):
         from coupled_sampler.rng import CHAIN_A, CHAIN_B, derive_seed
@@ -897,6 +930,8 @@ def test_artifacts_same_bits_at_one_and_two_blas_threads(tmp_path, fresh_python)
     runs = [(command, dict(doc, n=1024)) for command, doc in _readme_configs().values()]
     runs.append(("couple", {"scene": "mv-triangle", "schedule": README_SCHEDULE, "n": 64,
                             "seed": 3, "svg": True}))
+    runs.append(("sweep", {"scene": "mv-triangle", "schedule": README_SCHEDULE, "n": 64,
+                           "seed": 3, "lambda_grid": [0.0, 1.0, 4.0]}))
     code = (
         "import contextlib, hashlib, io, json, sys\n"
         "from pathlib import Path\n"
@@ -916,5 +951,5 @@ def test_artifacts_same_bits_at_one_and_two_blas_threads(tmp_path, fresh_python)
         root.mkdir()
         hashes[threads] = fresh_python(f"import sys; sys.argv = ['-', {str(root)!r}]\n" + code,
                                        OPENBLAS_NUM_THREADS=threads)
-    assert len(hashes["1"].splitlines()) == 20  # 4 + 6 + 4 + 6 artifacts
+    assert len(hashes["1"].splitlines()) == 24  # 4 + 6 + 4 + 6 + 4 artifacts
     assert hashes["1"] == hashes["2"]

@@ -185,17 +185,17 @@ def _load_config(path: str, seed_override) -> dict:
 
 
 def _resolve_couple_models(fields):
-    """-> (model_a, model_b, scene, reference)."""
+    """-> (model_a, model_b, scene); scene is None on a pair."""
     if ("pair" in fields) == ("scene" in fields):
         raise ConfigError("config: exactly one of pair or scene is required")
     if "scene" in fields:
         scene = fields["scene"]
         with _building("scene"):
-            return (*mv_chain_models(scene), scene, {})
-    gmm_a, gmm_b, reference = fields["pair"]
+            return (*mv_chain_models(scene), scene)
+    gmm_a, gmm_b = fields["pair"]
     if gmm_a.dim != gmm_b.dim:
         raise ConfigError("pair: model_b: coupled models must share a dimension")
-    return GmmScoreModel(gmm_a), GmmScoreModel(gmm_b), None, reference
+    return GmmScoreModel(gmm_a), GmmScoreModel(gmm_b), None
 
 
 def _check_svg(fields, dim: int):
@@ -286,21 +286,22 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _law_a(model_a, scene):
+    """Chain A's law per view, which it draws independently of B's at lambda = 0."""
+    return model_a.gmm if scene is None else scene.edit_gmm
+
+
 def _lambda_numbers(result, model_a, model_b, scene) -> dict:
     """Every number of one coupled result, keyed by report name. On a scene,
-    nll-a is chain A's mean NLL per view under the edit mixture, nll-b chain
-    B's per joint point, and each residual a chain's median view residual."""
+    nll-a is per view and nll-b per joint point; residuals are view medians."""
     a, b = result.batch_a.samples, result.batch_b.samples
     summary = coupling_distance(a, b)
-    if scene is None:
-        nll_a = gmm_nll(model_a.gmm, a)
-    else:
-        nll_a = gmm_nll(scene.edit_gmm, a.reshape(-1, scene.view_dim))
+    law_a = _law_a(model_a, scene)
     numbers = {
         "coupling-median": summary.median,
         "coupling-mean": summary.mean,
         "coupling-p90": summary.p90,
-        "nll-a": nll_a,
+        "nll-a": gmm_nll(law_a, a.reshape(-1, law_a.dim)),
         "nll-b": gmm_nll(model_b.gmm, b),
     }
     if scene is not None:
@@ -317,17 +318,18 @@ def cmd_couple(args) -> int:
     sampler_cfg = parse_sampler_cfg(fields.get("sampler", {}), sched, allow_trajectory=False)
     coupling_cfg = parse_coupling_cfg(fields.get("coupling", {}))
     n, seed = fields["n"], fields["seed"]
-    model_a, model_b, scene, reference = _resolve_couple_models(fields)
+    model_a, model_b, scene = _resolve_couple_models(fields)
     _check_svg(fields, model_a.dim)
     out = _out_path(args)
 
     result = coupled_sample(model_a, model_b, sched, sampler_cfg, coupling_cfg, seed, n)
     numbers = _lambda_numbers(result, model_a, model_b, scene)
+    law_a, rng = _law_a(model_a, scene), generator(seed, _EXACT_CLOUD)
+    exact_a = gmm_sample(law_a, n * model_a.dim // law_a.dim, rng).reshape(n, -1)
+    lambda0 = coupling_distance(exact_a, gmm_sample(model_b.gmm, n, rng)).median
     reports = [MetricReport(name, value) for name, value in numbers.items()]
-    ref = reference.get("coupling_median_lambda0")
-    if ref is not None:
-        reports.append(MetricReport(
-            "coupling-median-vs-lambda0-reference", numbers["coupling-median"], ref, "le"))
+    reports.append(MetricReport(
+        "coupling-median-vs-lambda0-reference", numbers["coupling-median"], lambda0, "le"))
     out.mkdir(parents=True, exist_ok=True)
     _samples_csv(out / "samples_a.csv", result.batch_a.samples)
     _samples_csv(out / "samples_b.csv", result.batch_b.samples)
@@ -363,7 +365,7 @@ def cmd_sweep(args) -> int:
     base_coupling = parse_coupling_cfg(fields.get("coupling", {}), allow_lambda=False)
     couplings = [replace(base_coupling, lam=lam) for lam in grid]
     n, seed = fields["n"], fields["seed"]
-    model_a, model_b, scene, _ = _resolve_couple_models(fields)
+    model_a, model_b, scene = _resolve_couple_models(fields)
     out = _out_path(args)
 
     results = coupled_sweep(model_a, model_b, sched, sampler_cfg, couplings, seed, n)

@@ -13,7 +13,7 @@ import os
 import re
 from pathlib import Path
 
-from .config import ConfigError, _json_number, _kind, _read_json, _require
+from .config import ConfigError, _kind, _read_json, _require
 from .models import Gmm, MvScene
 
 PRESET_ENV = "COUPLED_SAMPLER_PRESETS"
@@ -68,19 +68,17 @@ def resolve_gmm(spec) -> Gmm:
     return Gmm.from_dict(_doc(spec))
 
 
-_REFERENCE_KEYS = {"coupling_median_lambda0": (False, _json_number)}
 _PAIR_KEYS = {
     "kind": (False, _kind("pair")),
     "model_a": (True, Gmm.from_dict),
     "model_b": (True, Gmm.from_dict),
-    "reference": (False, lambda v, loc: _require(v, loc, _REFERENCE_KEYS)),
 }
 
 
 def resolve_pair(spec) -> tuple:
-    """(gmm_a, gmm_b, reference) from a pair preset name or inline object."""
+    """(gmm_a, gmm_b) from a pair preset name or inline object."""
     f = _require(_doc(spec), "", _PAIR_KEYS)
-    return f["model_a"], f["model_b"], f.get("reference", {})
+    return f["model_a"], f["model_b"]
 
 
 def resolve_scene(spec) -> MvScene:

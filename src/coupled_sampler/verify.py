@@ -103,7 +103,7 @@ def fixed_point_means() -> list:
     """Coupled chain means on the separated Gaussian pair (seed 11, n 4096)
     for lam in {0.5, 1, 2}, as (lam, mean_a, mean_b, dev) rows; dev is the
     larger distance of the two means from their mutual-tilt references."""
-    gmm_a, gmm_b, _ = resolve_pair("separated-pair")
+    gmm_a, gmm_b = resolve_pair("separated-pair")
     model_a, model_b = models.GmmScoreModel(gmm_a), models.GmmScoreModel(gmm_b)
     mu_a, mu_b = gmm_a.means[0], gmm_b.means[0]
     lams = (0.5, 1.0, 2.0)
@@ -154,7 +154,7 @@ def run_verify() -> list:
         gradient_err = max(gradient_err,
                            float(np.max(np.abs(coupling.coupling_gradient(x, y, lam) - fd))))
 
-    gmm_a, gmm_b, _ = resolve_pair("separated-pair")
+    gmm_a, gmm_b = resolve_pair("separated-pair")
     zero_gap = lambda_zero_gap(models.GmmScoreModel(gmm_a), models.GmmScoreModel(gmm_b),
                                sched, sampler.SamplerConfig(), seed=7, n=64)
     band = max(dev for *_, dev in fixed_point_means())

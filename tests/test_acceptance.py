@@ -53,8 +53,8 @@ def sched():
 
 @pytest.fixture(scope="module")
 def separated_pair():
-    gmm_a, gmm_b, reference = resolve_pair("separated-pair")
-    return GmmScoreModel(gmm_a), GmmScoreModel(gmm_b), gmm_a, gmm_b, reference
+    gmm_a, gmm_b = resolve_pair("separated-pair")
+    return GmmScoreModel(gmm_a), GmmScoreModel(gmm_b), gmm_a, gmm_b
 
 
 def test_c1_sampler_fidelity(sched):
@@ -88,7 +88,7 @@ def test_c2_lambda_zero_reduction(sched, separated_pair):
 
 def test_c3_monotone_coupling_tradeoff(sched, separated_pair):
     """Coupling distance falls and own-model NLL rises across the lam grid."""
-    model_a, model_b, gmm_a, gmm_b, _ = separated_pair
+    model_a, model_b, gmm_a, gmm_b = separated_pair
     cfg = SamplerConfig()
     seed = 5
     start = time.time()
@@ -113,7 +113,7 @@ def test_c3_monotone_coupling_tradeoff(sched, separated_pair):
 def test_c4_gaussian_fixed_point_bracket(separated_pair):
     """Chain means straddle their own mean and the origin; deviation from the
     mutual-tilt reference stays inside the reporting band."""
-    _, _, gmm_a, gmm_b, _ = separated_pair
+    _, _, gmm_a, gmm_b = separated_pair
     mu_a, mu_b = gmm_a.means[0], gmm_b.means[0]
     worst = 0.0
     lines = []
@@ -212,7 +212,7 @@ def test_c8_mv_edit_demo(sched):
 def test_c9_score_average_contrast(sched, separated_pair):
     """Score averaging collapses to the midpoint; coupling keeps each chain
     on its own side."""
-    model_a, model_b, gmm_a, gmm_b, _ = separated_pair
+    model_a, model_b, gmm_a, gmm_b = separated_pair
     avg = score_average_sample([model_a, model_b], [0.5, 0.5], sched,
                                SamplerConfig(), seed=3, n=4096)
     avg_offset = float(np.linalg.norm(avg.samples.mean(axis=0)))

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shutil
 import xml.etree.ElementTree as ET
@@ -6,13 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import ncx2
 
-from coupled_sampler import cli, presets, verify
+from coupled_sampler import cli, models, presets, verify
 from coupled_sampler.cli import main
 from coupled_sampler.config import ConfigError
 from coupled_sampler.coupling import GUIDANCE_RULES
 from coupled_sampler.metrics import MetricReport
+from coupled_sampler.models import gmm_sample, mv_consistent_model
 from coupled_sampler.presets import load_preset, resolve_gmm, resolve_pair, resolve_scene
+from coupled_sampler.rng import generator
 from coupled_sampler.sampler import KINDS
 from coupled_sampler.schedule import build_linear, schedule_to_json
 from coupled_sampler.verify import VerifyCheck
@@ -182,18 +186,68 @@ class TestCoupleCommand:
         out = tmp_path / "out"
         assert main(["couple", "--config", cfg, "--out", str(out)]) == 0
         names = {m["name"] for m in json.loads((out / "metrics.json").read_text())}
-        assert {"nll-a", "consistency-residual-a", "consistency-residual-b"} <= names
+        assert {"nll-a", "consistency-residual-a", "consistency-residual-b",
+                "coupling-median-vs-lambda0-reference"} <= names
 
-    def test_failed_check_recorded_and_exits_zero(self, tmp_path):
-        # a run command records a failed check; only verify's hard checks exit 1
+    @pytest.mark.parametrize("key, spec", [
+        ("pair", "two-moons-pair"),
+        ("pair", load_preset("separated-pair")),
+        ("scene", "mv-triangle"),
+    ], ids=["two_moons_pair", "inline_pair", "scene"])
+    def test_lambda0_threshold_is_median_of_exact_draws(self, tmp_path, key, spec):
+        # generator(seed, 101) draws chain A's n points, then chain B's; a
+        # scene's chain A draws n * n_views views of the edit mixture
         doc = couple_config()
-        doc["pair"] = dict(load_preset("separated-pair"),
-                           reference={"coupling_median_lambda0": 0.0})
-        cfg = write_config(tmp_path, doc)
+        del doc["pair"]
+        doc[key] = spec
         out = tmp_path / "out"
+        assert main(["couple", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        metrics = {m["name"]: m for m in json.loads((out / "metrics.json").read_text())}
+        check = metrics["coupling-median-vs-lambda0-reference"]
+        n, rng = doc["n"], generator(doc["seed"], 101)
+        if key == "scene":
+            scene = resolve_scene(spec)
+            a = gmm_sample(scene.edit_gmm, n * scene.n_views, rng).reshape(n, -1)
+            b = gmm_sample(mv_consistent_model(scene), n, rng)
+        else:
+            gmm_a, gmm_b = resolve_pair(spec)
+            a, b = gmm_sample(gmm_a, n, rng), gmm_sample(gmm_b, n, rng)
+        assert check["threshold"] == float(np.median(np.linalg.norm(a - b, axis=1)))
+        assert check["op"] == "le" and check["passed"] is True
+
+    def test_lambda0_threshold_is_exact_median(self, tmp_path, monkeypatch):
+        """On separated-pair, Delta = x_a - x_b ~ N((-4, 0), 2I) at lambda = 0,
+        so ||Delta||^2 / 2 is noncentral chi-square with 2 degrees of freedom
+        and noncentrality 8, and the exact median m of ||Delta|| is
+        sqrt(2 * ncx2.ppf(0.5, 2, 8)) = 4.2476. A median of n i.i.d. draws has
+        standard error 1 / (2 f(m) sqrt(n)), with f the density of ||Delta||:
+        0.0017 at n = 2**20. The bound is four standard errors; the seed is
+        fixed, so the test reads one value, 4.2493, one error away."""
+        n = 2**20
+        real = cli.coupled_sample
+        # the threshold does not depend on the chains, so they run at 16 points
+        monkeypatch.setattr(cli, "coupled_sample", lambda *args: real(*args[:-1], 16))
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, couple_config(n=n, seed=7))
         assert main(["couple", "--config", cfg, "--out", str(out)]) == 0
         metrics = {m["name"]: m for m in json.loads((out / "metrics.json").read_text())}
-        assert metrics["coupling-median-vs-lambda0-reference"]["passed"] is False
+        threshold = metrics["coupling-median-vs-lambda0-reference"]["threshold"]
+        m = math.sqrt(2 * ncx2.ppf(0.5, 2, 8))
+        assert m == pytest.approx(4.247629136971673, rel=1e-12)
+        se = 1 / (2 * ncx2.pdf(m * m / 2, 2, 8) * m * math.sqrt(n))
+        assert abs(threshold - m) < 4 * se
+
+    def test_failed_check_recorded_and_exits_zero(self, tmp_path):
+        # a run command records a failed check; only verify's hard checks exit 1.
+        # One jump from x_T to x_0 leaves the cloud far from its mixture.
+        doc = sample_config(model="bimodal-2d", n=256, seed=7,
+                            schedule={"num_steps": 20, "beta_start": 1e-3, "beta_end": 0.2},
+                            sampler={"step_subset": [20, 1]})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+        metrics = {m["name"]: m for m in json.loads((out / "metrics.json").read_text())}
+        assert metrics["energy-distance"]["passed"] is False
 
     @pytest.mark.parametrize("key, name", [("pair", "separated-pair"), ("scene", "mv-triangle")],
                              ids=["pair", "scene"])
@@ -372,10 +426,6 @@ def _set_pair(*drop, **fields):
     return mutate
 
 
-def _set_reference(reference):
-    return _set_pair(reference=reference)
-
-
 def _set_scene(**fields):
     def mutate(doc):
         del doc["pair"]
@@ -456,15 +506,6 @@ def _tiny_shift(doc):
     ("sample", _one_point, "n: must be >= 2"),
     ("sample", _noiseless_first_step, "schedule: alpha_bar must be strictly decreasing"),
     ("sample", _tiny_shift, "schedule.shift: every beta_t"),
-    ("couple", _set_reference({"coupling_median_lambda0": float("inf")}),
-     "pair: reference.coupling_median_lambda0: must be finite"),
-    ("couple", _set_reference({"coupling_median_lambda0": float("nan")}),
-     "pair: reference.coupling_median_lambda0: must be finite"),
-    ("couple", _set_reference({"coupling_median_lambda0": True}),
-     "pair: reference.coupling_median_lambda0: expected a number"),
-    ("couple", _set_reference({"coupling_median_lambda0": "abc"}),
-     "pair: reference.coupling_median_lambda0: expected a number"),
-    ("couple", _set_reference([]), "pair: reference: expected an object"),
     ("couple", _set_scene(view_dim=2.9), "scene: view_dim: expected an integer"),
     ("couple", _set_scene(n_views=3.7), "scene: n_views: expected an integer"),
     ("couple", _set_scene(n_views="3"), "scene: n_views: expected an integer"),
@@ -481,8 +522,8 @@ def _tiny_shift(doc):
     ("couple", _set_scene(latent=[1, 2]), "scene: latent: expected an object"),
     ("sample", _set_mixture(extra=1), "model: extra: unknown key"),
     ("couple", _set_pair(referense={}), "pair: referense: unknown key"),
-    ("couple", _set_reference({"coupling_median": 1.0}),
-     "pair: reference.coupling_median: unknown key"),
+    ("couple", _set_pair(reference={"coupling_median_lambda0": 4.247629136971673}),
+     "pair: reference: unknown key"),
     ("couple", _set_scene(extra=1), "scene: extra: unknown key"),
     ("couple", _set_pair("model_b"), "pair: model_b: missing required key"),
     ("couple", _set_pair(model_b=dict(_MIXTURE, weights=["1.0"])),
@@ -513,8 +554,7 @@ def _tiny_shift(doc):
     ("sweep", _top_level_pair(sweep=True), "model_a: unknown key"),
 ], ids=["subset_not_from_T", "subset_repeats", "ramp_couple", "noise_policy_sweep",
         "negative_grid", "seed_past_u64", "sample_one_point", "noiseless_first_step",
-        "shift_too_small", "reference_inf", "reference_nan", "reference_bool",
-        "reference_string", "reference_list", "scene_float_view_dim", "scene_float_n_views",
+        "shift_too_small", "scene_float_view_dim", "scene_float_n_views",
         "scene_string_n_views", "mixture_bool_weight", "mixture_string_weight",
         "mixture_bool_covariance", "mixture_asymmetric_covariance",
         "pair_model_b_asymmetric_covariance", "scene_latent_asymmetric_covariance",
@@ -780,15 +820,15 @@ def test_preset_dir_env_override(tmp_path, monkeypatch, capsys):
     assert header == "chain_index,dim_0"
 
 
-def test_preset_file_reference_checked(tmp_path, monkeypatch, capsys):
+def test_preset_file_pair_checked(tmp_path, monkeypatch, capsys):
     pair = json.dumps(load_preset("separated-pair"))
-    pair = pair.replace("4.247629136971673", "1e999")  # json reads it as inf
+    pair = pair.replace("[[-2.0, 0.0]]", "[[1e999, 0.0]]")  # json reads it as inf
     (tmp_path / "bad-pair.json").write_text(pair)
     monkeypatch.setenv("COUPLED_SAMPLER_PRESETS", str(tmp_path))
     cfg = write_config(tmp_path, couple_config(pair="bad-pair"))
     out = tmp_path / "out"
     assert main(["couple", "--config", cfg, "--out", str(out)]) == 2
-    assert "pair: reference.coupling_median_lambda0" in capsys.readouterr().err
+    assert "pair: model_a.means: must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -885,17 +925,28 @@ def test_readme_config_parses(tmp_path, monkeypatch, stem):
     assert not out.exists()
 
 
+def _nested(table):
+    """A nested object's keys bar kind, which the README covers for all three."""
+    return [key for key in table if key != "kind"]
+
+
 @pytest.mark.parametrize("section, schema, values", [
     ("sampler", cli._SAMPLER_SCHEMA, KINDS),
     ("coupling", cli._COUPLING_SCHEMA, GUIDANCE_RULES),
     ("sample", cli._SAMPLE_SCHEMA, ()),
     ("couple", cli._COUPLE_SCHEMA, ()),
     ("schedule", cli._SCHEDULE_SCHEMA, ()),
+    ("mixture", _nested(models._GMM_KEYS), ()),
+    ("pair", _nested(presets._PAIR_KEYS), ()),
+    ("scene", _nested(models._SCENE_KEYS), ()),
 ])
 def test_readme_names_every_key_and_value(section, schema, values):
-    # the bullet's first sentence lists the keys, and its values in parentheses
+    # the first sentence of a config bullet, or the "A <object> holds" sentence
+    # of a nested object, lists the keys, and its values in parentheses
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    bullet = re.search(rf"^- `{section}`: (.*?)\.(?:\s|$)", readme, re.M | re.S).group(1)
+    found = re.search(rf"^- `{section}`: (.*?)\.(?:\s|$)"
+                      rf"|\bA {section} holds\s(.*?)[.;](?:\s|$)", readme, re.M | re.S)
+    bullet = found.group(1) or found.group(2)
     in_parens = "".join(re.findall(r"\(.*?\)", bullet, re.S))
     keys = re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", bullet, flags=re.S))
     assert sorted(keys) == sorted(schema)

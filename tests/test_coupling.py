@@ -258,7 +258,7 @@ def chain_models(source):
         return mv_chain_models(resolve_scene(source))
     if source == "mixtures":
         return GmmScoreModel(resolve_gmm("bimodal-2d")), GmmScoreModel(resolve_gmm("anis-3c-2d"))
-    gmm_a, gmm_b, _ = resolve_pair(source)
+    gmm_a, gmm_b = resolve_pair(source)
     return GmmScoreModel(gmm_a), GmmScoreModel(gmm_b)
 
 
@@ -485,9 +485,3 @@ class TestMutualTiltFixedPoint:
         m_b = mutual_tilt_fixed_point(mu_b, mu_a, lam)
         assert m_a == pytest.approx((mu_a + lam * m_b) / (1 + lam), rel=1e-12)
         assert m_b == pytest.approx((mu_b + lam * m_a) / (1 + lam), rel=1e-12)
-
-
-def test_separated_pair_preset_reference_is_oracle_median():
-    # frozen from the noncentral-chi oracle for ||Delta||, Delta ~ N(mu_a - mu_b, 2I)
-    _, _, reference = resolve_pair("separated-pair")
-    assert reference["coupling_median_lambda0"] == pytest.approx(4.247629136971673)

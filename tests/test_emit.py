@@ -174,7 +174,7 @@ def test_coupling_trace_csv_matches_per_cell_reference(tmp_path):
     doc = {"pair": "separated-pair", "schedule": _SMALL_SCHEDULE,
            "coupling": {"lambda": 1.0}, "n": 32, "seed": 4}
     out = _run_cli(tmp_path, "couple", doc)
-    gmm_a, gmm_b, _ = resolve_pair("separated-pair")
+    gmm_a, gmm_b = resolve_pair("separated-pair")
     result = coupled_sample(GmmScoreModel(gmm_a), GmmScoreModel(gmm_b),
                             build_linear(20, 1e-3, 0.3), SamplerConfig(),
                             CouplingConfig(lam=1.0), 4, 32)
@@ -194,7 +194,7 @@ def test_sweep_csv_matches_per_cell_reference(tmp_path, key, name):
     out = _run_cli(tmp_path, "sweep", doc)
     if key == "pair":
         scene = None
-        gmm_a, gmm_b, _ = resolve_pair(name)
+        gmm_a, gmm_b = resolve_pair(name)
         models = GmmScoreModel(gmm_a), GmmScoreModel(gmm_b)
     else:
         scene = resolve_scene(name)

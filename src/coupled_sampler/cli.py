@@ -24,7 +24,6 @@ from .coupling import CouplingConfig, coupled_sample, coupled_sweep
 from .emit import curves_svg, scatter_svg, write_csv, write_json
 from .metrics import (
     MetricReport,
-    SweepPoint,
     consistency_residual,
     coupling_distance,
     energy_permutation_test,
@@ -52,8 +51,9 @@ _PERMUTATION = 102
 
 
 # ---------------------------------------------------------------------------
-# config validation: the CLI checks JSON shape (keys, types, finiteness, the
-# n/seed bounds); the library constructors check values.
+# config validation: one pass over each key table checks JSON shape (keys,
+# types, finiteness, the n/seed bounds) and builds the run's objects (models,
+# schedule, sampler and coupling configs), whose constructors check values.
 
 
 def _as_int_at_least(lo):
@@ -119,41 +119,32 @@ _COUPLING_SCHEMA = {
 }
 
 
-def parse_schedule_cfg(doc) -> NoiseSchedule:
-    fields = _require(doc, "schedule", _SCHEDULE_SCHEMA)
-    with _building("schedule"):
+def _as_schedule(v, loc) -> NoiseSchedule:
+    fields = _require(v, loc, _SCHEDULE_SCHEMA)
+    with _building(loc):
         sched = build_linear(fields["num_steps"], fields["beta_start"], fields["beta_end"])
     if "shift" in fields:
-        with _building("schedule.shift"):
+        with _building(f"{loc}.shift"):
             sched = shift_schedule(sched, fields["shift"])
     return sched
 
 
-def parse_sampler_cfg(doc, schedule: NoiseSchedule, allow_trajectory=True) -> SamplerConfig:
-    fields = _require(doc, "sampler", _SAMPLER_SCHEMA)
-    if fields.get("record_trajectory") and not allow_trajectory:
-        raise ConfigError("sampler.record_trajectory: only sample writes a trajectory")
-    with _building("sampler"):
-        cfg = SamplerConfig(**fields)
-        cfg.steps_for(schedule)
-    return cfg
-
-
-def parse_coupling_cfg(doc, allow_lambda=True) -> CouplingConfig:
-    schema = dict(_COUPLING_SCHEMA)
-    if not allow_lambda:
-        schema.pop("lambda")
-    fields = _require(doc, "coupling", schema)
-    if "lambda" in fields:
-        fields["lam"] = fields.pop("lambda")
-    with _building("coupling"):
-        return CouplingConfig(**fields)
+def _built(cls, table):
+    """The check of a config object: cls(**its checked keys), with the
+    config's "lambda" passed as lam."""
+    def check(v, loc):
+        fields = _require(v, loc, table)
+        if "lambda" in fields:
+            fields["lam"] = fields.pop("lambda")
+        with _building(loc):
+            return cls(**fields)
+    return check
 
 
 _SAMPLE_SCHEMA = {
     "model": (True, _resolved(resolve_gmm)),
-    "schedule": (True, _as_is),
-    "sampler": (False, _as_is),
+    "schedule": (True, _as_schedule),
+    "sampler": (False, _built(SamplerConfig, _SAMPLER_SCHEMA)),
     "n": (True, _as_int_at_least(2)),  # the energy test needs two points per cloud
     "seed": (True, _as_seed),
     "svg": (False, _as_bool),
@@ -162,30 +153,42 @@ _SAMPLE_SCHEMA = {
 _COUPLE_SCHEMA = {
     "pair": (False, _resolved(resolve_pair)),
     "scene": (False, _resolved(resolve_scene)),
-    "schedule": (True, _as_is),
-    "sampler": (False, _as_is),
-    "coupling": (False, _as_is),
+    "schedule": (True, _as_schedule),
+    "sampler": (False, _built(SamplerConfig, _SAMPLER_SCHEMA)),
+    "coupling": (False, _built(CouplingConfig, _COUPLING_SCHEMA)),
     "n": (True, _as_int_at_least(1)),
     "seed": (True, _as_seed),
     "svg": (False, _as_bool),
 }
 
-# a sweep always writes sweep.svg, so it takes no svg key
+# a sweep always writes sweep.svg, so it takes no svg key, and its
+# lambda_grid replaces coupling.lambda
 _SWEEP_SCHEMA = {k: v for k, v in _COUPLE_SCHEMA.items() if k != "svg"}
+_SWEEP_SCHEMA["coupling"] = (False, _built(
+    CouplingConfig, {k: v for k, v in _COUPLING_SCHEMA.items() if k != "lambda"}))
 _SWEEP_SCHEMA["lambda_grid"] = (True, _as_list(_as_lambda))
 
 
-def _load_config(path: str, seed_override) -> dict:
-    doc = _read_json(path, "--config")
+def _read_config(args, table) -> tuple[dict, dict]:
+    """(doc, fields): the --config object with --seed applied, and its values
+    checked and built by table. The sampler defaults, and its step_subset is
+    checked against the schedule."""
+    doc = _read_json(args.config, "--config")
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
-    if seed_override is not None:
-        doc["seed"] = seed_override
-    return doc
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    fields = _require(doc, "", table)
+    sampler = fields.setdefault("sampler", SamplerConfig())
+    with _building("sampler"):
+        sampler.steps_for(fields["schedule"])
+    return doc, fields
 
 
 def _resolve_couple_models(fields):
     """-> (model_a, model_b, scene); scene is None on a pair."""
+    if fields["sampler"].record_trajectory:
+        raise ConfigError("sampler.record_trajectory: only sample writes a trajectory")
     if ("pair" in fields) == ("scene" in fields):
         raise ConfigError("config: exactly one of pair or scene is required")
     if "scene" in fields:
@@ -255,11 +258,8 @@ def _write_record(out, command, doc, reports, n, seed, **fingerprints):
 
 
 def cmd_sample(args) -> int:
-    doc = _load_config(args.config, args.seed)
-    fields = _require(doc, "", _SAMPLE_SCHEMA)
-    gmm = fields["model"]
-    sched = parse_schedule_cfg(fields["schedule"])
-    cfg = parse_sampler_cfg(fields.get("sampler", {}), sched)
+    doc, fields = _read_config(args, _SAMPLE_SCHEMA)
+    gmm, sched, cfg = fields["model"], fields["schedule"], fields["sampler"]
     n, seed = fields["n"], fields["seed"]
     _check_svg(fields, gmm.dim)
     out = _out_path(args)
@@ -312,11 +312,9 @@ def _lambda_numbers(result, model_a, model_b, scene) -> dict:
 
 
 def cmd_couple(args) -> int:
-    doc = _load_config(args.config, args.seed)
-    fields = _require(doc, "", _COUPLE_SCHEMA)
-    sched = parse_schedule_cfg(fields["schedule"])
-    sampler_cfg = parse_sampler_cfg(fields.get("sampler", {}), sched, allow_trajectory=False)
-    coupling_cfg = parse_coupling_cfg(fields.get("coupling", {}))
+    doc, fields = _read_config(args, _COUPLE_SCHEMA)
+    sched, sampler_cfg = fields["schedule"], fields["sampler"]
+    coupling_cfg = fields.get("coupling", CouplingConfig())
     n, seed = fields["n"], fields["seed"]
     model_a, model_b, scene = _resolve_couple_models(fields)
     _check_svg(fields, model_a.dim)
@@ -353,47 +351,38 @@ def cmd_couple(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    doc = _load_config(args.config, args.seed)
-    fields = _require(doc, "", _SWEEP_SCHEMA)
+    doc, fields = _read_config(args, _SWEEP_SCHEMA)
     grid = fields["lambda_grid"]
     if len(grid) < 3:
         raise ConfigError("lambda_grid: need at least 3 grid points")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("lambda_grid: values must be strictly increasing")
-    sched = parse_schedule_cfg(fields["schedule"])
-    sampler_cfg = parse_sampler_cfg(fields.get("sampler", {}), sched, allow_trajectory=False)
-    base_coupling = parse_coupling_cfg(fields.get("coupling", {}), allow_lambda=False)
-    couplings = [replace(base_coupling, lam=lam) for lam in grid]
+    sched, sampler_cfg = fields["schedule"], fields["sampler"]
+    couplings = [replace(fields.get("coupling", CouplingConfig()), lam=lam) for lam in grid]
     n, seed = fields["n"], fields["seed"]
     model_a, model_b, scene = _resolve_couple_models(fields)
     out = _out_path(args)
 
     results = coupled_sweep(model_a, model_b, sched, sampler_cfg, couplings, seed, n)
     rows = [_lambda_numbers(result, model_a, model_b, scene) for result in results]
-    points = [SweepPoint(lam, r["coupling-median"], r["nll-a"], r["nll-b"])
-              for lam, r in zip(grid, rows)]
-    verdicts = sweep_summary(points)
+    medians, nlls_a, nlls_b = ([r[name] for r in rows]
+                               for name in ("coupling-median", "nll-a", "nll-b"))
+    reports = sweep_summary(grid, medians, nlls_a, nlls_b)
     out.mkdir(parents=True, exist_ok=True)
     # a pair has no view residual, and a scene's row carries chain B's only
     write_csv(
         out / "sweep.csv",
         ["lambda", "coupling_median", "nll_a", "nll_b", "residual_b"],
-        ([p.lam, p.coupling_median, p.nll_a, p.nll_b, r.get("consistency-residual-b")]
-         for p, r in zip(points, rows)),
+        ([lam, median, nll_a, nll_b, r.get("consistency-residual-b")]
+         for lam, median, nll_a, nll_b, r in zip(grid, medians, nlls_a, nlls_b, rows)),
     )
-    reports = [
-        MetricReport("sweep-distance-non-increasing",
-                     1.0 if verdicts.distance_non_increasing else 0.0, 1.0, "ge"),
-        MetricReport("sweep-nll-non-decreasing-beyond-half-drop",
-                     1.0 if verdicts.nll_non_decreasing_after_drop else 0.0, 1.0, "ge"),
-    ]
     _write_record(out, "sweep", doc, reports, n, seed)
     (out / "sweep.svg").write_text(curves_svg(grid, [
-        ("coupling median", [p.coupling_median for p in points], "#1b6ca8"),
-        ("chain A NLL", [p.nll_a for p in points], "#d95f02"),
-        ("chain B NLL", [p.nll_b for p in points], "#7570b3"),
+        ("coupling median", medians, "#1b6ca8"),
+        ("chain A NLL", nlls_a, "#d95f02"),
+        ("chain B NLL", nlls_b, "#7570b3"),
     ]))
-    print(f"wrote {out}/sweep.csv ({len(points)} lambdas)")
+    print(f"wrote {out}/sweep.csv ({len(rows)} lambdas)")
     return 0
 
 

@@ -118,13 +118,13 @@ def curves_svg(xs, series) -> str:
         for xv, v in zip(xs, vals):
             px = margin + (xv - x_lo) / x_span * plot_w
             py = margin + plot_h - (v - v_lo) / v_span * plot_h
-            pts.append(f"{px:.2f},{py:.2f}")
+            pts.append((f"{px:.2f}", f"{py:.2f}"))
+        points = " ".join(f"{px},{py}" for px, py in pts)
         body.append(
-            f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" '
+            f'<polyline points="{points}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'
         )
-        for p in pts:
-            px, py = p.split(",")
+        for px, py in pts:
             body.append(f'<circle cx="{px}" cy="{py}" r="2.5" fill="{color}"/>')
         body.append(
             f'<text x="{margin:.1f}" y="{legend_y:.1f}" font-size="12" fill="{color}">'

@@ -223,48 +223,34 @@ def consistency_residual(samples, n_views: int, view_dim: int):
 _SWEEP_REL_TOL = 0.02
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    lam: float
-    coupling_median: float
-    nll_a: float
-    nll_b: float
-
-
-@dataclass(frozen=True)
-class SweepSummary:
-    distance_non_increasing: bool
-    nll_non_decreasing_after_drop: bool
-
-
-def sweep_summary(points: list[SweepPoint]) -> SweepSummary:
-    """Monotonicity verdicts over an increasing-lambda grid with paired seeds.
+def sweep_summary(lams, medians, nlls_a, nlls_b) -> list[MetricReport]:
+    """Monotonicity verdicts over an increasing-lambda grid with paired seeds,
+    from the per-lambda columns: coupling median and each chain's NLL.
 
     Distance verdict: medians non-increasing, allowing a single inversion
     within 2 % (statistical noise). NLL verdict: beyond the first lambda at
     which the median distance has dropped by half, each chain's own-model NLL
-    is non-decreasing within the same relative slack.
+    is non-decreasing within the same relative slack. Each verdict is a
+    report of value 1.0 (holds) or 0.0 against threshold 1.0, op "ge".
     """
-    if len(points) < 3:
+    if not len(lams) == len(medians) == len(nlls_a) == len(nlls_b):
+        raise ValueError("sweep columns must share a length")
+    if len(lams) < 3:
         raise ValueError("need at least three sweep points")
-    lams = [p.lam for p in points]
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambda grid must be strictly increasing")
 
-    med = [p.coupling_median for p in points]
-    soft = sum(1 for a, b in zip(med, med[1:]) if b > a)
-    hard = any(b > a * (1.0 + _SWEEP_REL_TOL) for a, b in zip(med, med[1:]))
+    soft = sum(1 for a, b in zip(medians, medians[1:]) if b > a)
+    hard = any(b > a * (1.0 + _SWEEP_REL_TOL) for a, b in zip(medians, medians[1:]))
     distance_ok = (not hard) and soft <= 1
 
-    drop_idx = next((i for i, v in enumerate(med) if v <= 0.5 * med[0]), None)
-    nll_ok = True
-    if drop_idx is not None:
-        for series in ([p.nll_a for p in points], [p.nll_b for p in points]):
-            tail = series[drop_idx:]
-            slack = [_SWEEP_REL_TOL * max(1.0, abs(v)) for v in tail]
-            if any(b < a - s for a, b, s in zip(tail, tail[1:], slack)):
-                nll_ok = False
-    return SweepSummary(
-        distance_non_increasing=distance_ok,
-        nll_non_decreasing_after_drop=nll_ok,
+    drop = next((i for i, v in enumerate(medians) if v <= 0.5 * medians[0]), None)
+    nll_ok = drop is None or not any(
+        b < a - _SWEEP_REL_TOL * max(1.0, abs(a))
+        for series in (nlls_a, nlls_b)
+        for a, b in zip(series[drop:], series[drop + 1:])
     )
+    return [
+        MetricReport("sweep-distance-non-increasing", float(distance_ok), 1.0, "ge"),
+        MetricReport("sweep-nll-non-decreasing-beyond-half-drop", float(nll_ok), 1.0, "ge"),
+    ]

@@ -315,8 +315,13 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "lambda,coupling_median,nll_a,nll_b,residual_b"
         assert len(lines) == 5
-        metrics = {m["name"]: m for m in json.loads((out / "metrics.json").read_text())}
-        assert metrics["sweep-distance-non-increasing"]["passed"] is True
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics == [
+            {"name": name, "value": 1.0, "threshold": 1.0, "op": "ge", "passed": True,
+             "sample_count": 64, "seed": 5}
+            for name in ("sweep-distance-non-increasing",
+                         "sweep-nll-non-decreasing-beyond-half-drop")
+        ]
         ET.parse(out / "sweep.svg")
 
     def test_single_point_grid_rejected(self, tmp_path, capsys):
@@ -349,10 +354,16 @@ class TestSweepCommand:
     ("couple", {"scene": "mv-triangle"},
      {"fingerprint_a": "b339f609ad9d2848", "fingerprint_b": "9aace409bb135c36"}),
     ("sweep", {"pair": "separated-pair", "lambda_grid": [0.0, 1.0, 4.0]}, {}),
-], ids=["sample", "couple_pair", "couple_scene", "sweep"])
+    ("couple", {"pair": "separated-pair", "sampler": {"record_trajectory": False}},
+     {"fingerprint_a": "2338322bb9f46f3b", "fingerprint_b": "2fa1630c2dad0272"}),
+    ("sweep", {"pair": "separated-pair", "lambda_grid": [0.0, 1.0, 4.0],
+               "sampler": {"record_trajectory": False}}, {}),
+], ids=["sample", "couple_pair", "couple_scene", "sweep", "couple_no_trajectory",
+        "sweep_no_trajectory"])
 def test_run_record(tmp_path, command, doc, fingerprints):
     # every metrics.json row carries the run's n and seed; the fingerprints,
-    # which depend on neither, are those earlier versions wrote
+    # which depend on neither, are those earlier versions wrote. couple and
+    # sweep refuse record_trajectory: true but run with an explicit false.
     doc = dict(doc, schedule=README_SCHEDULE, n=12, seed=31)
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0

@@ -7,7 +7,6 @@ import pytest
 from coupled_sampler.metrics import (
     EnergyTestResult,
     MetricReport,
-    SweepPoint,
     consistency_residual,
     coupling_distance,
     energy_permutation_test,
@@ -332,47 +331,53 @@ class TestMetricReport:
 
 
 class TestSweepSummary:
-    def rows(self, medians, nlls):
-        return [
-            SweepPoint(lam=float(i), coupling_median=m, nll_a=v, nll_b=v)
-            for i, (m, v) in enumerate(zip(medians, nlls))
-        ]
+    NAMES = ("sweep-distance-non-increasing", "sweep-nll-non-decreasing-beyond-half-drop")
+
+    def verdicts(self, medians, nlls, lams=None):
+        lams = [float(i) for i in range(len(medians))] if lams is None else lams
+        reports = sweep_summary(lams, medians, nlls, nlls)
+        assert [r.name for r in reports] == list(self.NAMES)
+        assert all(r.value in (0.0, 1.0) and (r.threshold, r.op) == (1.0, "ge")
+                   for r in reports)
+        return [r.passed for r in reports]
 
     def test_constant_grid_vacuously_passes(self):
-        s = sweep_summary(self.rows([2.0, 2.0, 2.0], [1.0, 1.0, 1.0]))
-        assert s.distance_non_increasing
-        assert s.nll_non_decreasing_after_drop
+        assert self.verdicts([2.0, 2.0, 2.0], [1.0, 1.0, 1.0]) == [True, True]
 
     def test_decreasing_with_rising_nll(self):
-        s = sweep_summary(self.rows([4.0, 2.0, 1.0, 0.5], [1.0, 1.2, 1.5, 2.0]))
-        assert s.distance_non_increasing
-        assert s.nll_non_decreasing_after_drop
+        assert self.verdicts([4.0, 2.0, 1.0, 0.5], [1.0, 1.2, 1.5, 2.0]) == [True, True]
 
     def test_hard_inversion_fails(self):
-        s = sweep_summary(self.rows([4.0, 2.0, 3.0], [1.0, 1.0, 1.0]))
-        assert not s.distance_non_increasing
+        distance_ok, _ = self.verdicts([4.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        assert not distance_ok
 
     def test_single_tiny_inversion_tolerated(self):
-        s = sweep_summary(self.rows([4.0, 2.0, 2.01], [1.0, 1.0, 1.0]))
-        assert s.distance_non_increasing
+        distance_ok, _ = self.verdicts([4.0, 2.0, 2.01], [1.0, 1.0, 1.0])
+        assert distance_ok
 
     def test_nll_drop_after_half_fails(self):
-        s = sweep_summary(self.rows([4.0, 1.0, 0.5], [2.0, 2.0, 1.0]))
-        assert not s.nll_non_decreasing_after_drop
+        _, nll_ok = self.verdicts([4.0, 1.0, 0.5], [2.0, 2.0, 1.0])
+        assert not nll_ok
 
     def test_nll_checked_only_from_half_drop(self):
         # the median first halves at index 2, so the NLL fall before it is free
-        s = sweep_summary(self.rows([4.0, 3.0, 2.0, 1.0], [3.0, 2.0, 2.0, 2.5]))
-        assert s.nll_non_decreasing_after_drop
-        s = sweep_summary(self.rows([4.0, 3.5, 3.0], [3.0, 2.0, 1.0]))
-        assert s.nll_non_decreasing_after_drop
+        _, nll_ok = self.verdicts([4.0, 3.0, 2.0, 1.0], [3.0, 2.0, 2.0, 2.5])
+        assert nll_ok
+        _, nll_ok = self.verdicts([4.0, 3.5, 3.0], [3.0, 2.0, 1.0])
+        assert nll_ok
+
+    def test_each_chain_nll_checked(self):
+        # chain B's NLL falls past the half drop while chain A's rises
+        reports = sweep_summary([0.0, 1.0, 2.0], [4.0, 1.0, 0.5], [1.0, 1.5, 2.0],
+                                [2.0, 2.0, 1.0])
+        assert [r.passed for r in reports] == [True, False]
 
     def test_requires_three_increasing_lambdas(self):
         with pytest.raises(ValueError):
-            sweep_summary(self.rows([1.0, 1.0], [0.0, 0.0]))
-        pts = [
-            SweepPoint(lam=v, coupling_median=1.0, nll_a=0.0, nll_b=0.0)
-            for v in (0.0, 2.0, 1.0)
-        ]
+            sweep_summary([0.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError):
-            sweep_summary(pts)
+            sweep_summary([0.0, 2.0, 1.0], [1.0] * 3, [0.0] * 3, [0.0] * 3)
+
+    def test_columns_must_share_a_length(self):
+        with pytest.raises(ValueError, match="share a length"):
+            sweep_summary([0.0, 1.0, 2.0], [1.0] * 3, [0.0] * 3, [0.0] * 2)

@@ -21,11 +21,16 @@ The bits therefore equal scipy's logsumexp kernel on that layout. A model
 keeps one level table, its last level's: the chunks of one step share it.
 
 The triangular solves call LAPACK dtrtrs from scipy.linalg._flapack, the
-extension scipy.linalg.lapack re-exports. The module loads that extension
-file directly instead of importing scipy.linalg, whose package init pulls in
-about 300 modules (numpy.f2py and numpy.testing among them) and would be
-most of a CLI process's start-up time and memory. The function object is the
-one scipy.linalg.lapack hands out, so every output bit is the same.
+extension scipy.linalg.lapack re-exports. _load_linalg_extension loads such
+an extension file directly instead of importing scipy.linalg, whose package
+init pulls in about 300 modules (numpy.f2py and numpy.testing among them)
+and would be most of a CLI process's start-up time and memory. The function
+object is the one scipy.linalg.lapack hands out, so every output bit is the
+same. _flapack loads at import; the energy test in metrics loads
+scipy.linalg._fblas, for sgemm, on its first call. Both extensions link
+scipy's OpenBLAS, not numpy's, so a run's hot BLAS and LAPACK calls share
+one thread pool: a second pool's workers would spin on the cores the first
+waits for.
 """
 
 from __future__ import annotations
@@ -183,16 +188,16 @@ class _LastLevel:
         return last[1]
 
 
-def _load_flapack():
-    """scipy.linalg._flapack, loaded from its file under scipy.__path__ and
+def _load_linalg_extension(stem: str):
+    """scipy.linalg.<stem>, loaded from its file under scipy.__path__ and
     registered under its own name, so scipy/linalg/__init__.py never runs."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:  # scipy.linalg was imported first
+    name = f"scipy.linalg.{stem}"
+    if name in sys.modules:  # scipy.linalg, or an earlier call, loaded it
         return sys.modules[name]
     searched = []
     for root in scipy.__path__:
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = Path(root, "linalg", "_flapack" + suffix)
+            path = Path(root, "linalg", stem + suffix)
             if path.is_file():
                 loader = importlib.machinery.ExtensionFileLoader(name, str(path))
                 spec = importlib.util.spec_from_loader(name, loader)
@@ -201,10 +206,10 @@ def _load_flapack():
                 sys.modules[name] = module
                 return module
             searched.append(str(path))
-    raise ImportError(f"scipy's LAPACK extension {name} not found; searched {searched}")
+    raise ImportError(f"scipy's extension {name} not found; searched {searched}")
 
 
-dtrtrs = _load_flapack().dtrtrs
+dtrtrs = _load_linalg_extension("_flapack").dtrtrs
 
 
 def _solve_upper(upper, b, trans: int) -> np.ndarray:

@@ -49,10 +49,13 @@ from .schedule import NoiseSchedule
 KINDS = ("ancestral", "deterministic")
 
 # Rows x d of one step chunk. Its copies share a model call per chain, and
-# its temporaries bound the step's memory. The coupled bench (five-lambda
-# sweeps at n = 2048) peaked at 62.7 MB with one run per lambda, 71.3 MB
-# with no bound, 67.7 MB at 40960 and 63.5 MB here, where the five d = 2
-# copies share one chunk and each d = 6 copy runs alone.
+# its temporaries bound the step's memory. When the bound was chosen, and
+# the CLI still imported scipy.linalg, the coupled bench (five-lambda sweeps
+# at n = 2048) peaked at 62.7 MB with one run per lambda, 71.3 MB with no
+# bound, 67.7 MB at 40960 and 63.5 MB here, where the five d = 2 copies
+# share one chunk and each d = 6 copy runs alone. Without scipy.linalg
+# (October 2026, 2 vCPUs) it peaks at 51.5-51.7 MB with no bound,
+# 48.7-49.2 MB at 40960 and 45.7 MB here.
 _CHUNK_ELEMENTS = 20480
 
 

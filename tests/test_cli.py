@@ -988,6 +988,45 @@ def test_dtrtrs_is_scipy_lapack_dtrtrs(first, second, fresh_python):
     assert fresh_python(code) == "True"
 
 
+_ENERGY_TEST = ("import numpy as np; from coupled_sampler import metrics; "
+                "metrics.energy_permutation_test(np.eye(2), -np.eye(2), np.random.default_rng(0))")
+
+
+@pytest.mark.parametrize("first, second", [
+    (_ENERGY_TEST, "import scipy.linalg.blas"),
+    ("import scipy.linalg.blas", _ENERGY_TEST),
+], ids=["package_first", "scipy_first"])
+def test_energy_test_sgemm_is_scipy_blas_sgemm(first, second, fresh_python):
+    # a spy on metrics._sgemm records the function each energy test calls
+    code = (
+        "import sys; from coupled_sampler import metrics\n"
+        "called, load = [], metrics._sgemm\n"
+        "metrics._sgemm = lambda: called.append(load()) or called[-1]\n"
+        f"{first}\n{second}\n"
+        "print(len(called), called[0] is sys.modules['scipy.linalg.blas'].sgemm)"
+    )
+    assert fresh_python(code) == "1 True"
+
+
+@pytest.mark.parametrize("command, doc, loaded", [
+    ("sample", sample_config(), ["scipy.linalg._fblas", "scipy.linalg._flapack"]),
+    ("couple", couple_config(), ["scipy.linalg._flapack"]),
+], ids=["sample", "couple"])
+def test_run_loads_only_its_extensions_from_scipy_linalg(tmp_path, command, doc, loaded,
+                                                          fresh_python):
+    # sample runs the energy test on scipy's BLAS; couple runs none
+    cfg = write_config(tmp_path, doc)
+    code = (
+        "import contextlib, io, sys\n"
+        "from coupled_sampler.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'linalg'], ['numpy', 'f2py'], ['numpy', 'testing'])))"
+    )
+    assert fresh_python(code) == str(loaded)
+
+
 def test_artifacts_same_bits_at_one_and_two_blas_threads(tmp_path, fresh_python):
     runs = [(command, dict(doc, n=1024)) for command, doc in _readme_configs().values()]
     runs.append(("couple", {"scene": "mv-triangle", "schedule": README_SCHEDULE, "n": 64,

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from coupled_sampler import metrics
 from coupled_sampler.metrics import (
     EnergyTestResult,
     MetricReport,
@@ -241,6 +242,22 @@ class TestBlockedEnergyTest:
         two = fresh_python(code, OPENBLAS_NUM_THREADS="2")
         assert one.splitlines()[-1].startswith("1000 ")
         assert one == two
+
+    def test_distance_strip_written_into_its_buffer(self, monkeypatch):
+        # f2py copies an operand that is not a Fortran-ordered float32 array
+        # and writes the copy, leaving the strip buffer unwritten
+        load, in_place = metrics._sgemm, []
+
+        def spy(*args, **kwargs):
+            out = load()(*args, **kwargs)
+            if "c" in kwargs:
+                in_place.append(np.shares_memory(out, kwargs["c"]))
+            return out
+
+        monkeypatch.setattr(metrics, "_sgemm", lambda: spy)
+        rng = np.random.default_rng(5)
+        energy_permutation_test(rng.normal(size=(300, 2)), rng.normal(size=(213, 2)), rng)
+        assert in_place == [True] * 3  # 513 points make three strips
 
     def test_peak_memory_linear_in_sample_count(self):
         rng = np.random.default_rng(11)

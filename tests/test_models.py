@@ -17,7 +17,7 @@ from coupled_sampler.models import (
     GmmVelocityModel,
     MvScene,
     VelocityWrappedScoreModel,
-    _load_flapack,
+    _load_linalg_extension,
     _row_sum,
     gmm_epsilon,
     gmm_flow_log_density,
@@ -642,12 +642,13 @@ def test_non_finite_points_rejected(value):
             call()
 
 
-def test_missing_lapack_extension_names_paths_searched(tmp_path, monkeypatch):
+@pytest.mark.parametrize("stem", ["_flapack", "_fblas"])
+def test_missing_lapack_extension_names_paths_searched(tmp_path, monkeypatch, stem):
     monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.delitem(sys.modules, f"scipy.linalg.{stem}", raising=False)
     with pytest.raises(ImportError, match="not found; searched") as info:
-        _load_flapack()
-    assert str(tmp_path / "linalg" / "_flapack") in str(info.value)
+        _load_linalg_extension(stem)
+    assert str(tmp_path / "linalg" / stem) in str(info.value)
 
 
 @pytest.fixture

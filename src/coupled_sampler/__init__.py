@@ -28,7 +28,6 @@ from .models import (
     GmmVelocityModel,
     MvScene,
     ScoreModel,
-    VelocityWrappedScoreModel,
     gmm_epsilon,
     gmm_flow_log_density,
     gmm_noised_log_density,

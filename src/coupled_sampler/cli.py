@@ -24,6 +24,7 @@ from .coupling import CouplingConfig, coupled_sample, coupled_sweep
 from .emit import curves_svg, scatter_svg, write_csv, write_json
 from .metrics import (
     MetricReport,
+    _check_lambda_grid,
     consistency_residual,
     coupling_distance,
     energy_permutation_test,
@@ -353,10 +354,8 @@ def cmd_couple(args) -> int:
 def cmd_sweep(args) -> int:
     doc, fields = _read_config(args, _SWEEP_SCHEMA)
     grid = fields["lambda_grid"]
-    if len(grid) < 3:
-        raise ConfigError("lambda_grid: need at least 3 grid points")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("lambda_grid: values must be strictly increasing")
+    with _building("lambda_grid"):
+        _check_lambda_grid(grid)
     sched, sampler_cfg = fields["schedule"], fields["sampler"]
     couplings = [replace(fields.get("coupling", CouplingConfig()), lam=lam) for lam in grid]
     n, seed = fields["n"], fields["seed"]

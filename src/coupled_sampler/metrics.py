@@ -237,6 +237,14 @@ def consistency_residual(samples, n_views: int, view_dim: int):
 _SWEEP_REL_TOL = 0.02
 
 
+def _check_lambda_grid(lams) -> None:
+    """A sweep's lambda grid holds at least three strictly increasing values."""
+    if len(lams) < 3:
+        raise ValueError("need at least 3 grid points")
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise ValueError("values must be strictly increasing")
+
+
 def sweep_summary(lams, medians, nlls_a, nlls_b) -> list[MetricReport]:
     """Monotonicity verdicts over an increasing-lambda grid with paired seeds,
     from the per-lambda columns: coupling median and each chain's NLL.
@@ -249,10 +257,7 @@ def sweep_summary(lams, medians, nlls_a, nlls_b) -> list[MetricReport]:
     """
     if not len(lams) == len(medians) == len(nlls_a) == len(nlls_b):
         raise ValueError("sweep columns must share a length")
-    if len(lams) < 3:
-        raise ValueError("need at least three sweep points")
-    if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise ValueError("lambda grid must be strictly increasing")
+    _check_lambda_grid(lams)
 
     soft = sum(1 for a, b in zip(medians, medians[1:]) if b > a)
     hard = any(b > a * (1.0 + _SWEEP_REL_TOL) for a, b in zip(medians, medians[1:]))

@@ -18,7 +18,8 @@ contiguous row of length m, not on m rows of length K. Each sum over the
 components adds in the order numpy takes on the point-major (m, K) layout:
 np.sum's pairwise row sum in the logsumexp, einsum's sequence in the mix.
 The bits therefore equal scipy's logsumexp kernel on that layout. A model
-keeps one level table, its last level's: the chunks of one step share it.
+keeps one level table, its last level's, in an lru_cache(maxsize=1): the
+chunks of one step share it.
 
 The triangular solves call LAPACK dtrtrs from scipy.linalg._flapack, the
 extension scipy.linalg.lapack re-exports. _load_linalg_extension loads such
@@ -35,6 +36,7 @@ waits for.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -138,13 +140,6 @@ _GMM_KEYS = {
 }
 
 
-def _log_weights(weights: np.ndarray) -> np.ndarray:
-    out = np.full(weights.shape, -np.inf)
-    pos = weights > 0.0
-    out[pos] = np.log(weights[pos])
-    return out
-
-
 class _Level(NamedTuple):
     """A mixture at one noise level, in the form the component loop reads."""
 
@@ -158,8 +153,10 @@ def _level(g: Gmm, mean_scale: float, cov_scale: float, noise_var: float) -> _Le
     """Component j becomes N(mean_scale mu_j, cov_scale Sigma_j + noise_var I)."""
     means = mean_scale * g.means
     chols = np.linalg.cholesky(cov_scale * g.covariances() + noise_var * np.eye(g.dim))
+    with np.errstate(divide="ignore"):  # a zero weight's log is -inf
+        log_w = np.log(g.weights)
     return _Level(
-        log_w=_log_weights(g.weights),
+        log_w=log_w,
         means=means,
         uppers=tuple(L.T for L in chols),
         log_dets=tuple(float(np.sum(np.log(np.diag(L)))) for L in chols),
@@ -172,20 +169,6 @@ def _noised_level(g: Gmm, alpha_bar: float) -> _Level:
 
 def _flow_level(g: Gmm, t_flow: float) -> _Level:
     return _level(g, t_flow, t_flow**2, (1.0 - t_flow) ** 2)
-
-
-class _LastLevel:
-    """build(key) of the last key asked, held as one (key, table) tuple."""
-
-    def __init__(self, build):
-        self._build = build
-        self.last = (None, None)
-
-    def __call__(self, key: float) -> _Level:
-        last = self.last
-        if last[0] != key:
-            last = self.last = (key, self._build(key))
-        return last[1]
 
 
 def _load_linalg_extension(stem: str):
@@ -391,7 +374,7 @@ class ScoreModel(ABC):
 class GmmScoreModel(ScoreModel):
     def __init__(self, gmm: Gmm):
         self.gmm = gmm
-        self._level_at = _LastLevel(lambda ab: _noised_level(gmm, ab))
+        self._level_at = functools.lru_cache(maxsize=1)(lambda ab: _noised_level(gmm, ab))
 
     @property
     def dim(self) -> int:
@@ -478,26 +461,9 @@ def score_from_velocity(v, x, t_flow: float):
     return -(-t_flow * v + x) / (1.0 - t_flow)
 
 
-class GmmVelocityModel:
-    """Flow velocity field v(x, t) of a mixture under x_t = t x_0 + (1 - t) eps."""
-
-    def __init__(self, gmm: Gmm):
-        self.gmm = gmm
-        self._level_at = _LastLevel(lambda t: _flow_level(gmm, t))
-
-    @property
-    def dim(self) -> int:
-        return self.gmm.dim
-
-    def velocity(self, x, t_flow):
-        return _velocity(self.gmm, x, t_flow, self._level_at)
-
-    def describe(self) -> dict:
-        return {"kind": "gmm_velocity", **self.gmm.to_dict()}
-
-
-class VelocityWrappedScoreModel(ScoreModel):
-    """Epsilon-predictions obtained from a velocity field.
+class GmmVelocityModel(ScoreModel):
+    """Flow velocity field v(x, t) of a mixture under x_t = t x_0 + (1 - t) eps,
+    run as an epsilon-predictor through that field.
 
     The variance-preserving point x is rescaled onto the flow interpolation
     at the SNR-matched time, x' = x * t_flow / sqrt(alpha_bar); the flow
@@ -506,12 +472,16 @@ class VelocityWrappedScoreModel(ScoreModel):
         eps_hat(x) = -sqrt(1 - alpha_bar) * c * s(x'),  c = t_flow / sqrt(alpha_bar)
     """
 
-    def __init__(self, vm: GmmVelocityModel):
-        self.vm = vm
+    def __init__(self, gmm: Gmm):
+        self.gmm = gmm
+        self._level_at = functools.lru_cache(maxsize=1)(lambda t: _flow_level(gmm, t))
 
     @property
     def dim(self) -> int:
-        return self.vm.dim
+        return self.gmm.dim
+
+    def velocity(self, x, t_flow):
+        return _velocity(self.gmm, x, t_flow, self._level_at)
 
     def predict_epsilon(self, x, t, schedule):
         ab = schedule.alpha_bar_at(t)
@@ -521,11 +491,11 @@ class VelocityWrappedScoreModel(ScoreModel):
         c = t_flow / math.sqrt(ab)
         x = np.asarray(x, dtype=np.float64)
         x_flow = c * x
-        s = score_from_velocity(self.vm.velocity(x_flow, t_flow), x_flow, t_flow)
+        s = score_from_velocity(self.velocity(x_flow, t_flow), x_flow, t_flow)
         return -math.sqrt(1.0 - ab) * c * s
 
     def describe(self) -> dict:
-        return {"kind": "velocity_wrapped", "inner": self.vm.describe()}
+        return {"kind": "gmm_velocity", **self.gmm.to_dict()}
 
 
 @dataclass(frozen=True)

@@ -49,13 +49,10 @@ from .schedule import NoiseSchedule
 KINDS = ("ancestral", "deterministic")
 
 # Rows x d of one step chunk. Its copies share a model call per chain, and
-# its temporaries bound the step's memory. When the bound was chosen, and
-# the CLI still imported scipy.linalg, the coupled bench (five-lambda sweeps
-# at n = 2048) peaked at 62.7 MB with one run per lambda, 71.3 MB with no
-# bound, 67.7 MB at 40960 and 63.5 MB here, where the five d = 2 copies
-# share one chunk and each d = 6 copy runs alone. Without scipy.linalg
-# (October 2026, 2 vCPUs) it peaks at 51.5-51.7 MB with no bound,
-# 48.7-49.2 MB at 40960 and 45.7 MB here.
+# its temporaries bound the step's memory. Here the five d = 2 copies of the
+# coupled bench's five-lambda sweeps (n = 2048) share one chunk and each
+# d = 6 copy runs alone; the bench peaks at 45.7 MB at this bound, 48.7-49.2
+# MB at 40960 and 51.5-51.7 MB with no bound (October 2026, 2 vCPUs).
 _CHUNK_ELEMENTS = 20480
 
 

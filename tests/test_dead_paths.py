@@ -16,12 +16,9 @@ KEPT = {
     "models.GmmVelocityModel.__init__": "a velocity-parameterised model for cross-checks",
     "models.GmmVelocityModel.dim": "a velocity-parameterised model for cross-checks",
     "models.GmmVelocityModel.velocity": "a velocity-parameterised model for cross-checks",
+    "models.GmmVelocityModel.predict_epsilon": "a velocity-parameterised model for cross-checks",
     "models.GmmVelocityModel.describe": "a velocity-parameterised model for cross-checks",
-    "models.VelocityWrappedScoreModel.__init__": "runs a velocity field as a score model",
-    "models.VelocityWrappedScoreModel.dim": "runs a velocity field as a score model",
-    "models.VelocityWrappedScoreModel.predict_epsilon": "runs a velocity field as a score model",
-    "models.VelocityWrappedScoreModel.describe": "runs a velocity field as a score model",
-    "schedule.alpha_bar_to_flow_time": "used by VelocityWrappedScoreModel",
+    "schedule.alpha_bar_to_flow_time": "used by GmmVelocityModel.predict_epsilon",
 }
 
 # Runs in a fresh interpreter, so calls made while the package is imported

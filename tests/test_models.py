@@ -16,7 +16,6 @@ from coupled_sampler.models import (
     GmmScoreModel,
     GmmVelocityModel,
     MvScene,
-    VelocityWrappedScoreModel,
     _load_linalg_extension,
     _row_sum,
     gmm_epsilon,
@@ -434,7 +433,8 @@ class TestVelocity:
         x = rng.normal(scale=1.5, size=(40, 3))
         for t in (0.1, 0.5, 0.5, 0.9, 0.5):  # 0.5 twice in a row: a memo hit
             assert np.array_equal(model.velocity(x, t), velocity_from_gmm(g, x, t))
-        assert model._level_at.last[0] == 0.5
+        info = model._level_at.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 4, 1)
 
 
 class TestScoreFromVelocity:
@@ -467,11 +467,11 @@ class TestVelocityWrapping:
     def test_standard_normal_equals_gmm_epsilon(self):
         g = std_normal()
         sched = build_linear(20, 0.02, 0.3)
-        wrapped = VelocityWrappedScoreModel(GmmVelocityModel(g))
+        flow = GmmVelocityModel(g)
         x = np.random.default_rng(6).normal(size=(10, 2))
         for t in (1, 7, 20):
             ab = sched.alpha_bar_at(t)
-            assert wrapped.predict_epsilon(x, t, sched) == pytest.approx(
+            assert flow.predict_epsilon(x, t, sched) == pytest.approx(
                 math.sqrt(1 - ab) * x, rel=1e-10
             )
 
@@ -479,19 +479,19 @@ class TestVelocityWrapping:
         rng = np.random.default_rng(61)
         g = random_gmm(rng)
         sched = build_linear(25, 0.01, 0.35)
-        wrapped = VelocityWrappedScoreModel(GmmVelocityModel(g))
+        flow = GmmVelocityModel(g)
         direct = GmmScoreModel(g)
         x = rng.normal(scale=1.5, size=(30, 2))
         for t in (1, 5, 12, 25):
-            a = wrapped.predict_epsilon(x, t, sched)
+            a = flow.predict_epsilon(x, t, sched)
             b = direct.predict_epsilon(x, t, sched)
             assert np.max(np.abs(a - b)) < 1e-5
 
     def test_rejects_zero_noise_level(self):
         sched = build_linear(5, 0.1, 0.2)
-        wrapped = VelocityWrappedScoreModel(GmmVelocityModel(std_normal()))
+        flow = GmmVelocityModel(std_normal())
         with pytest.raises(ValueError):
-            wrapped.predict_epsilon(np.zeros(2), 0, sched)
+            flow.predict_epsilon(np.zeros(2), 0, sched)
 
 
 def scipy_mixture(weights, means, chols, x):

@@ -14,12 +14,10 @@ Covariances are held as lower-triangular Cholesky factors; densities and
 scores go through triangular solves, never explicit inverses. Mixture
 responsibilities are formed in log space. The K per-component terms of m
 points are held component-major, (K, m), so every array op runs on a
-contiguous row of length m, not on m rows of length K. Each sum over the
-components adds in the order numpy takes on the point-major (m, K) layout:
-np.sum's pairwise row sum in the logsumexp, einsum's sequence in the mix.
-The bits therefore equal scipy's logsumexp kernel on that layout. A model
-keeps one level table, its last level's, in an lru_cache(maxsize=1): the
-chunks of one step share it.
+contiguous row of length m, not on m rows of length K. Sums over the
+components run in sequence along the K axis. A model keeps one level
+table, its last level's, in an lru_cache(maxsize=1): the chunks of one
+step share it.
 
 The triangular solves call LAPACK dtrtrs from scipy.linalg._flapack, the
 extension scipy.linalg.lapack re-exports. _load_linalg_extension loads such
@@ -208,51 +206,16 @@ def _solve_upper(upper, b, trans: int) -> np.ndarray:
     return out
 
 
-def _row_sum(rows: np.ndarray) -> np.ndarray:
-    """rows.sum(axis=0) of a (K, m) array, in the order np.sum(a, axis=1)
-    takes on the C-ordered (m, K) transpose a: numpy's pairwise sum, which
-    adds in sequence below 8 terms, through eight accumulators up to 128 and
-    splits in two above that. An axis-0 sum adds in sequence at every K."""
-    k = rows.shape[0]
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        return _row_sum(rows[:half]) + _row_sum(rows[half:])
-    if k < 8:
-        acc, tail = rows[0].copy(), 1
-    else:
-        r = rows[:8].copy()
-        tail = k - k % 8
-        for i in range(8, tail, 8):
-            r += rows[i:i + 8]
-        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in rows[tail:]:
-        acc += row
-    return acc
-
-
 def _logsumexp(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=0)) of a (K, m) array, one result per column.
 
-    Term for term the formula of scipy.special.logsumexp (scipy 1.17) over
-    the rows of the (m, K) transpose, so the bits match it: the maxima of a
-    column are pulled out of the sum, which is log1p(s) + log(m) + max with m
-    the count of maxima and s the sum of the other shifted exponentials over
-    m. s is summed in numpy's row order (_row_sum). Columns where that is
-    not finite (all terms -inf) fall back to the direct log(sum(exp(a))).
+    The column max is shifted out before the exponentials. A column whose
+    terms are all -inf has a non-finite max, taken as 0, and gives -inf.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_max = a.max(axis=0)  # max and count are exact in any order
-        is_max = a == a_max
-        m = is_max.sum(axis=0, dtype=np.float64)
-        shifted = np.exp(a - a_max)
-        shifted *= ~is_max  # the maxima drop out of s
-        s = _row_sum(shifted)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(_row_sum(np.exp(a[:, bad])))
-    return out
+    a_max = a.max(axis=0)
+    a_max[~np.isfinite(a_max)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - a_max).sum(axis=0)) + a_max
 
 
 def _component_terms(x, level: _Level, whiten: bool):
@@ -280,12 +243,9 @@ def _component_terms(x, level: _Level, whiten: bool):
         # x - mu as one flat op against the tiled mean; .T is (d, m), Fortran-ordered
         diff = (flat - np.tile(level.means[j], m)).reshape(m, d).T
         y = _solve_upper(upper, diff, trans=1)  # L^-1 (x - mu)
-        if d <= 2:  # the order of the einsum below, which changes from d = 3 on
-            maha = y[0] * y[0]
-            for row in y[1:]:
-                maha += row * row
-        else:
-            maha = np.einsum("im,im->m", y, y)
+        maha = y[0] * y[0]
+        for row in y[1:]:
+            maha += row * row
         log_comp[j] = level.log_w[j] - 0.5 * maha - level.log_dets[j] - 0.5 * d * _LOG_2PI
         if whiten:
             whitened.append(_solve_upper(upper, y, trans=0))
@@ -293,17 +253,13 @@ def _component_terms(x, level: _Level, whiten: bool):
 
 
 def _mix(resp: np.ndarray, parts) -> np.ndarray:
-    """sum_j resp[j] parts[j] of (K, m) weights and K (m, d) arrays, bit for
-    bit np.einsum("mk,mkd->md") on the (m, K) and stacked (m, K, d) arrays.
+    """sum_j resp[j] parts[j] of (K, m) weights and K (m, d) arrays, added
+    in sequence column by column on length-m rows.
 
-    From d = 2 on einsum adds 0 + r_0 z_0 + r_1 z_1 + ... in sequence, done
-    here column by column on length-m rows. At d = 1 it takes a SIMD order,
-    so that case still calls it. The result is C-ordered (m, d): reductions
-    over its last axis pick their order from the layout.
+    The result is C-ordered (m, d): reductions over its last axis pick their
+    order from the layout.
     """
     m, d = parts[0].shape
-    if d == 1:
-        return np.einsum("mk,mkd->md", np.ascontiguousarray(resp.T), np.stack(parts, axis=1))
     out = np.zeros((m, d))
     for r, z in zip(resp, parts):
         for c in range(d):

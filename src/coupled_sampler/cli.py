@@ -10,6 +10,7 @@ metric as `passed: false` in metrics.json and still exits 0.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -34,7 +35,7 @@ from .metrics import (
 from .models import GmmScoreModel, gmm_sample, mv_chain_models
 from .presets import resolve_gmm, resolve_pair, resolve_scene
 from .rng import _check_seed, generator
-from .sampler import SamplerConfig, config_fingerprint, sample
+from .sampler import SamplerConfig, sample
 from .schedule import (
     NoiseSchedule,
     align_schedules,
@@ -245,6 +246,23 @@ def _trajectory_csv(path, trajectory):
     write_csv(path, header, rows())
 
 
+def _fingerprint(gmm, views, schedule, config) -> str:
+    """A chain's fingerprint: 16 hex digits of the sha256 of its mixture (a
+    scene's edit chain lists it once per view), betas and sampler settings.
+    "variance_rule" names the only reverse-step variance and stays so that
+    fingerprints keep their bytes."""
+    model = {"kind": "gmm", **gmm.to_dict()}
+    if views > 1:
+        model = {"kind": "block_product", "blocks": [model] * views}
+    sampler = {"kind": config.kind, "variance_rule": "beta",
+               "record_trajectory": config.record_trajectory,
+               "step_subset": list(config.step_subset) if config.step_subset else None}
+    payload = {"model": model, "schedule": {"beta": [float(b) for b in schedule.beta]},
+               "sampler": sampler}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 def _write_record(out, command, doc, reports, n, seed, **fingerprints):
     """The run's record: metrics.json, each report with the run's n and seed,
     and run.json, the command, seed, fingerprints and config echo."""
@@ -267,7 +285,7 @@ def cmd_sample(args) -> int:
 
     model = GmmScoreModel(gmm)
     batch = sample(model, sched, cfg, seed, n)
-    fingerprint = config_fingerprint(model, sched, cfg)
+    fingerprint = _fingerprint(gmm, 1, sched, cfg)
     exact = gmm_sample(gmm, n, generator(seed, _EXACT_CLOUD))
     test = energy_permutation_test(batch.samples, exact, generator(seed, _PERMUTATION))
     reports = [
@@ -338,8 +356,9 @@ def cmd_couple(args) -> int:
         map(list, zip(result.series_steps.tolist(), result.coupling_series.tolist())),
     )
     _write_record(out, "couple", doc, reports, n, seed,
-                  fingerprint_a=config_fingerprint(model_a, sched, sampler_cfg),
-                  fingerprint_b=config_fingerprint(model_b, sched, sampler_cfg))
+                  fingerprint_a=_fingerprint(law_a, 1 if scene is None else scene.n_views,
+                                             sched, sampler_cfg),
+                  fingerprint_b=_fingerprint(model_b.gmm, 1, sched, sampler_cfg))
     if fields.get("svg"):
         (out / "paired_scatter.svg").write_text(
             scatter_svg(

@@ -223,13 +223,6 @@ class _AveragedModel(ScoreModel):
             acc = acc + w * m.predict_epsilon(x, t, schedule)
         return acc
 
-    def describe(self) -> dict:
-        return {
-            "kind": "score_average",
-            "weights": list(self.weights),
-            "models": [m.describe() for m in self.models],
-        }
-
 
 def score_average_sample(models, weights, schedule: NoiseSchedule,
                          sampler_config: SamplerConfig, seed: int, n: int) -> SampleBatch:

@@ -322,10 +322,6 @@ class ScoreModel(ABC):
     @abstractmethod
     def predict_epsilon(self, x, t: int, schedule: NoiseSchedule) -> np.ndarray: ...
 
-    @abstractmethod
-    def describe(self) -> dict:
-        """JSON-able payload identifying the model for run fingerprints."""
-
 
 class GmmScoreModel(ScoreModel):
     def __init__(self, gmm: Gmm):
@@ -338,9 +334,6 @@ class GmmScoreModel(ScoreModel):
 
     def predict_epsilon(self, x, t, schedule):
         return _epsilon(x, schedule.alpha_bar_at(t), self._level_at)
-
-    def describe(self) -> dict:
-        return {"kind": "gmm", **self.gmm.to_dict()}
 
 
 class BlockProductModel(ScoreModel):
@@ -367,9 +360,6 @@ class BlockProductModel(ScoreModel):
             raise ValueError(f"points have dimension {x.shape[-1]}, model has {self.dim}")
         eps = self.block.predict_epsilon(x.reshape(-1, self.block.dim), t, schedule)
         return eps.reshape(x.shape)
-
-    def describe(self) -> dict:
-        return {"kind": "block_product", "blocks": [self.block.describe()] * self.n_blocks}
 
 
 def gmm_flow_log_density(g: Gmm, x, t_flow: float):
@@ -449,9 +439,6 @@ class GmmVelocityModel(ScoreModel):
         x_flow = c * x
         s = score_from_velocity(self.velocity(x_flow, t_flow), x_flow, t_flow)
         return -math.sqrt(1.0 - ab) * c * s
-
-    def describe(self) -> dict:
-        return {"kind": "gmm_velocity", **self.gmm.to_dict()}
 
 
 @dataclass(frozen=True)

@@ -29,14 +29,12 @@ chunks of whole copies of at most _CHUNK_ELEMENTS rows x d, one pass per
 chain and then one guidance call for all chains.
 
 A run returns a SampleBatch per chain: its final (n, d) samples and, when
-recorded, its Trajectory. The seed and the config fingerprint describe the
-run, not its samples; the CLI records them (see config_fingerprint).
+recorded, its Trajectory. The seed and the run fingerprint belong to the
+run, not to its samples; the CLI records them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -83,16 +81,6 @@ class SamplerConfig:
         if any(nxt >= prev for prev, nxt in zip(sub, sub[1:])):
             raise ValueError("step_subset must be strictly decreasing")
         return sub
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            # sigma_t^2 = beta_t is the only reverse-step variance; the key
-            # stays so that fingerprints and run.json files keep their bytes.
-            "variance_rule": "beta",
-            "record_trajectory": self.record_trajectory,
-            "step_subset": list(self.step_subset) if self.step_subset else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -145,17 +133,6 @@ def _step(x_t, eps_hat, z, schedule: NoiseSchedule, t: int, t_next: int, kind: s
     ab_t, _, beta_eff = step_coefficients(schedule, t, t_next)
     mean = (x_t - beta_eff / math.sqrt(1.0 - ab_t) * eps_hat) / math.sqrt(1.0 - beta_eff)
     return x0, mean + math.sqrt(beta_eff) * z
-
-
-def config_fingerprint(model: ScoreModel, schedule: NoiseSchedule,
-                       config: SamplerConfig) -> str:
-    payload = {
-        "model": model.describe(),
-        "schedule": {"beta": [float(b) for b in schedule.beta]},
-        "sampler": config.to_dict(),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _chunks(copies: int, n: int, d: int) -> list:

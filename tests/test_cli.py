@@ -358,8 +358,13 @@ class TestSweepCommand:
      {"fingerprint_a": "2338322bb9f46f3b", "fingerprint_b": "2fa1630c2dad0272"}),
     ("sweep", {"pair": "separated-pair", "lambda_grid": [0.0, 1.0, 4.0],
                "sampler": {"record_trajectory": False}}, {}),
+    ("sample", {"model": "bimodal-2d",
+                "sampler": {"kind": "deterministic", "record_trajectory": True}},
+     {"fingerprint": "1dd3f4b18daacde4"}),
+    ("sample", {"model": "bimodal-2d", "sampler": {"step_subset": [200, 100, 50, 1]}},
+     {"fingerprint": "c29218f3cab24841"}),
 ], ids=["sample", "couple_pair", "couple_scene", "sweep", "couple_no_trajectory",
-        "sweep_no_trajectory"])
+        "sweep_no_trajectory", "sample_trajectory", "sample_step_subset"])
 def test_run_record(tmp_path, command, doc, fingerprints):
     # every metrics.json row carries the run's n and seed; the fingerprints,
     # which depend on neither, are those earlier versions wrote. couple and

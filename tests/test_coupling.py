@@ -299,8 +299,33 @@ class _Spy(ScoreModel):
         self.rows.append(np.shape(x)[0])
         return self.inner.predict_epsilon(x, t, schedule)
 
-    def describe(self):
-        return self.inner.describe()
+
+class _StdNormal(ScoreModel):
+    """N(0, I) in closed form, eps_hat(x) = sqrt(1 - alpha_bar) x, declaring
+    only what every model must: dim and predict_epsilon."""
+
+    @property
+    def dim(self):
+        return 2
+
+    def predict_epsilon(self, x, t, schedule):
+        return math.sqrt(1.0 - schedule.alpha_bar_at(t)) * np.asarray(x, dtype=np.float64)
+
+
+@pytest.mark.parametrize("cfg", [SamplerConfig(), SamplerConfig(kind="deterministic")],
+                         ids=["ancestral", "deterministic"])
+def test_a_model_needs_only_dim_and_predict_epsilon(cfg):
+    sched, n, coupling = short_schedule(), 64, CouplingConfig(lam=1.0)
+    mb = GmmScoreModel(resolve_gmm("bimodal-2d"))
+
+    def clouds(model):
+        run = coupled_sample(model, mb, sched, cfg, coupling, 4, n)
+        return sample(model, sched, cfg, 4, n).samples, run.batch_a.samples, run.batch_b.samples
+
+    # the same chains as under the one-component mixture, up to its kernel's rounding
+    for got, want in zip(clouds(_StdNormal()), clouds(gaussian_model([0.0, 0.0]))):
+        assert got.shape == (n, 2) and np.isfinite(got).all()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 _SWEEP_VARIANTS = {

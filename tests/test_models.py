@@ -306,12 +306,6 @@ class TestBlockProduct:
         with pytest.raises(ValueError, match="dimension"):
             model.predict_epsilon(np.zeros((4, 4)), 4, sched)
 
-    def test_describe_lists_the_block_once_per_view(self):
-        block = GmmScoreModel(std_normal())
-        assert BlockProductModel(block, 3).describe() == {
-            "kind": "block_product", "blocks": [block.describe()] * 3,
-        }
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             BlockProductModel(GmmScoreModel(std_normal()), 0)

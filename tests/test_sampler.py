@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from coupled_sampler.models import Gmm, GmmScoreModel
-from coupled_sampler.presets import resolve_gmm
 from coupled_sampler.sampler import (
     SamplerConfig,
     _step,
-    config_fingerprint,
     sample,
     x0_from_epsilon,
 )
@@ -191,27 +189,6 @@ class TestSample:
         b = sample(std_normal_model(), sched, cfg, seed=2, n=32)
         assert np.array_equal(a.samples, b.samples)
         assert np.all(np.isfinite(a.samples))
-
-    def test_fingerprint_tracks_inputs(self):
-        sched = build_linear(10, 0.01, 0.2)
-        base = config_fingerprint(std_normal_model(), sched, SamplerConfig())
-        assert base == config_fingerprint(std_normal_model(), sched, SamplerConfig())
-        other_cfg = config_fingerprint(
-            std_normal_model(), sched, SamplerConfig(kind="deterministic")
-        )
-        other_model = config_fingerprint(
-            gaussian_model(np.array([1.0, 0.0])), sched, SamplerConfig()
-        )
-        assert len({base, other_cfg, other_model}) == 3
-
-    @pytest.mark.parametrize("cfg, expected", [
-        (SamplerConfig(), "52c7839c5d2fd330"),
-        (SamplerConfig(kind="deterministic", record_trajectory=True), "1dd3f4b18daacde4"),
-    ], ids=["readme_run", "deterministic_trajectory"])
-    def test_fingerprint_pinned(self, cfg, expected):
-        # run.json carries this fingerprint, so its bytes pin the sampler's to_dict
-        model = GmmScoreModel(resolve_gmm("bimodal-2d"))
-        assert config_fingerprint(model, build_linear(200, 1e-4, 0.115), cfg) == expected
 
     def test_model_error_carries_step_context(self):
         class Broken(GmmScoreModel):

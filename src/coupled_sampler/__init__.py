@@ -28,13 +28,11 @@ from .models import (
     GmmVelocityModel,
     MvScene,
     ScoreModel,
-    gmm_epsilon,
     gmm_flow_log_density,
     gmm_noised_log_density,
     gmm_sample,
     mv_consistent_model,
     score_from_velocity,
-    velocity_from_gmm,
 )
 from .sampler import (
     SampleBatch,

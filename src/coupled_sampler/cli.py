@@ -188,19 +188,20 @@ def _read_config(args, table) -> tuple[dict, dict]:
 
 
 def _resolve_couple_models(fields):
-    """-> (model_a, model_b, scene); scene is None on a pair."""
+    """-> (model_a, model_b, law_a, law_b): each chain's model and the law of
+    one of its views, which on a scene's chain A is the edit mixture."""
     if fields["sampler"].record_trajectory:
         raise ConfigError("sampler.record_trajectory: only sample writes a trajectory")
     if ("pair" in fields) == ("scene" in fields):
         raise ConfigError("config: exactly one of pair or scene is required")
     if "scene" in fields:
-        scene = fields["scene"]
         with _building("scene"):
-            return (*mv_chain_models(scene), scene)
+            model_a, model_b = mv_chain_models(fields["scene"])
+        return model_a, model_b, fields["scene"].edit_gmm, model_b.gmm
     gmm_a, gmm_b = fields["pair"]
     if gmm_a.dim != gmm_b.dim:
         raise ConfigError("pair: model_b: coupled models must share a dimension")
-    return GmmScoreModel(gmm_a), GmmScoreModel(gmm_b), None
+    return GmmScoreModel(gmm_a), GmmScoreModel(gmm_b), gmm_a, gmm_b
 
 
 def _check_svg(fields, dim: int):
@@ -305,28 +306,23 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _law_a(model_a, scene):
-    """Chain A's law per view, which it draws independently of B's at lambda = 0."""
-    return model_a.gmm if scene is None else scene.edit_gmm
-
-
-def _lambda_numbers(result, model_a, model_b, scene) -> dict:
+def _lambda_numbers(result, law_a, law_b) -> dict:
     """Every number of one coupled result, keyed by report name. On a scene,
     nll-a is per view and nll-b per joint point; residuals are view medians."""
     a, b = result.batch_a.samples, result.batch_b.samples
     summary = coupling_distance(a, b)
-    law_a = _law_a(model_a, scene)
+    views = a.shape[1] // law_a.dim
     numbers = {
         "coupling-median": summary.median,
         "coupling-mean": summary.mean,
         "coupling-p90": summary.p90,
         "nll-a": gmm_nll(law_a, a.reshape(-1, law_a.dim)),
-        "nll-b": gmm_nll(model_b.gmm, b),
+        "nll-b": gmm_nll(law_b, b),
     }
-    if scene is not None:
+    if views > 1:
         for label, x in (("a", a), ("b", b)):
             numbers[f"consistency-residual-{label}"] = float(np.median(
-                consistency_residual(x, scene.n_views, scene.view_dim)))
+                consistency_residual(x, views, law_a.dim)))
     return numbers
 
 
@@ -335,15 +331,15 @@ def cmd_couple(args) -> int:
     sched, sampler_cfg = fields["schedule"], fields["sampler"]
     coupling_cfg = fields.get("coupling", CouplingConfig())
     n, seed = fields["n"], fields["seed"]
-    model_a, model_b, scene = _resolve_couple_models(fields)
+    model_a, model_b, law_a, law_b = _resolve_couple_models(fields)
     _check_svg(fields, model_a.dim)
     out = _out_path(args)
 
     result = coupled_sample(model_a, model_b, sched, sampler_cfg, coupling_cfg, seed, n)
-    numbers = _lambda_numbers(result, model_a, model_b, scene)
-    law_a, rng = _law_a(model_a, scene), generator(seed, _EXACT_CLOUD)
-    exact_a = gmm_sample(law_a, n * model_a.dim // law_a.dim, rng).reshape(n, -1)
-    lambda0 = coupling_distance(exact_a, gmm_sample(model_b.gmm, n, rng)).median
+    numbers = _lambda_numbers(result, law_a, law_b)
+    views, rng = model_a.dim // law_a.dim, generator(seed, _EXACT_CLOUD)
+    exact_a = gmm_sample(law_a, n * views, rng).reshape(n, -1)
+    lambda0 = coupling_distance(exact_a, gmm_sample(law_b, n, rng)).median
     reports = [MetricReport(name, value) for name, value in numbers.items()]
     reports.append(MetricReport(
         "coupling-median-vs-lambda0-reference", numbers["coupling-median"], lambda0, "le"))
@@ -356,9 +352,8 @@ def cmd_couple(args) -> int:
         map(list, zip(result.series_steps.tolist(), result.coupling_series.tolist())),
     )
     _write_record(out, "couple", doc, reports, n, seed,
-                  fingerprint_a=_fingerprint(law_a, 1 if scene is None else scene.n_views,
-                                             sched, sampler_cfg),
-                  fingerprint_b=_fingerprint(model_b.gmm, 1, sched, sampler_cfg))
+                  fingerprint_a=_fingerprint(law_a, views, sched, sampler_cfg),
+                  fingerprint_b=_fingerprint(law_b, 1, sched, sampler_cfg))
     if fields.get("svg"):
         (out / "paired_scatter.svg").write_text(
             scatter_svg(
@@ -378,11 +373,11 @@ def cmd_sweep(args) -> int:
     sched, sampler_cfg = fields["schedule"], fields["sampler"]
     couplings = [replace(fields.get("coupling", CouplingConfig()), lam=lam) for lam in grid]
     n, seed = fields["n"], fields["seed"]
-    model_a, model_b, scene = _resolve_couple_models(fields)
+    model_a, model_b, law_a, law_b = _resolve_couple_models(fields)
     out = _out_path(args)
 
     results = coupled_sweep(model_a, model_b, sched, sampler_cfg, couplings, seed, n)
-    rows = [_lambda_numbers(result, model_a, model_b, scene) for result in results]
+    rows = [_lambda_numbers(result, law_a, law_b) for result in results]
     medians, nlls_a, nlls_b = ([r[name] for r in rows]
                                for name in ("coupling-median", "nll-a", "nll-b"))
     reports = sweep_summary(grid, medians, nlls_a, nlls_b)
@@ -391,8 +386,8 @@ def cmd_sweep(args) -> int:
     write_csv(
         out / "sweep.csv",
         ["lambda", "coupling_median", "nll_a", "nll_b", "residual_b"],
-        ([lam, median, nll_a, nll_b, r.get("consistency-residual-b")]
-         for lam, median, nll_a, nll_b, r in zip(grid, medians, nlls_a, nlls_b, rows)),
+        ([lam, r["coupling-median"], r["nll-a"], r["nll-b"], r.get("consistency-residual-b")]
+         for lam, r in zip(grid, rows)),
     )
     _write_record(out, "sweep", doc, reports, n, seed)
     (out / "sweep.svg").write_text(curves_svg(grid, [

@@ -17,7 +17,8 @@ points are held component-major, (K, m), so every array op runs on a
 contiguous row of length m, not on m rows of length K. Sums over the
 components run in sequence along the K axis. A model keeps one level
 table, its last level's, in an lru_cache(maxsize=1): the chunks of one
-step share it.
+step share it. Epsilon and the flow velocity are read only through a model,
+GmmScoreModel.epsilon and GmmVelocityModel.velocity, so both use that table.
 
 The triangular solves call LAPACK dtrtrs from scipy.linalg._flapack, the
 extension scipy.linalg.lapack re-exports. _load_linalg_extension loads such
@@ -287,20 +288,6 @@ def gmm_noised_log_density(g: Gmm, x, alpha_bar: float):
     return _mixture_eval(x, _noised_level(g, alpha_bar), want_score=False)
 
 
-def _epsilon(x, alpha_bar: float, level_at):
-    """gmm_epsilon, reading the level table from level_at(alpha_bar)."""
-    alpha_bar = float(alpha_bar)
-    if not 0.0 < alpha_bar < 1.0:
-        raise ValueError("alpha_bar must lie in (0, 1) for epsilon")
-    _, score = _mixture_eval(x, level_at(alpha_bar), want_score=True)
-    return -math.sqrt(1.0 - alpha_bar) * score
-
-
-def gmm_epsilon(g: Gmm, x, alpha_bar: float):
-    """Exact epsilon-prediction; undefined at zero noise (alpha_bar = 1)."""
-    return _epsilon(x, alpha_bar, lambda ab: _noised_level(g, ab))
-
-
 def gmm_sample(g: Gmm, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. exact samples: categorical component draw, then affine map."""
     if n < 1:
@@ -332,8 +319,16 @@ class GmmScoreModel(ScoreModel):
     def dim(self) -> int:
         return self.gmm.dim
 
+    def epsilon(self, x, alpha_bar: float):
+        """Exact epsilon-prediction; undefined at zero noise (alpha_bar = 1)."""
+        alpha_bar = float(alpha_bar)
+        if not 0.0 < alpha_bar < 1.0:
+            raise ValueError("alpha_bar must lie in (0, 1) for epsilon")
+        _, score = _mixture_eval(x, self._level_at(alpha_bar), want_score=True)
+        return -math.sqrt(1.0 - alpha_bar) * score
+
     def predict_epsilon(self, x, t, schedule):
-        return _epsilon(x, schedule.alpha_bar_at(t), self._level_at)
+        return self.epsilon(x, schedule.alpha_bar_at(t))
 
 
 class BlockProductModel(ScoreModel):
@@ -370,31 +365,6 @@ def gmm_flow_log_density(g: Gmm, x, t_flow: float):
     return _mixture_eval(x, _flow_level(g, t_flow), want_score=False)
 
 
-def _velocity(g: Gmm, x, t_flow: float, level_at):
-    """velocity_from_gmm, reading the flow level from level_at(t_flow)."""
-    t_flow = float(t_flow)
-    if not 0.0 < t_flow < 1.0:
-        raise ValueError("t_flow must lie strictly inside (0, 1)")
-    # whitened[j] = C_j^-1 (x - t mu_j), (d, m)
-    batch, log_comp, whitened = _component_terms(x, level_at(t_flow), whiten=True)
-    comp_v = [
-        (mu + (t_flow * sigma @ u).T) - (1.0 - t_flow) * u.T  # E[x_0] - E[eps]
-        for mu, sigma, u in zip(g.means, g.covariances(), whitened)
-    ]  # K arrays (m, d)
-    resp = np.exp(log_comp - _logsumexp(log_comp))
-    return _mix(resp, comp_v).reshape(batch + (g.dim,))
-
-
-def velocity_from_gmm(g: Gmm, x, t_flow: float):
-    """E[x_0 - eps | x_t = x] under the flow interpolation.
-
-    Computed from per-component Gaussian conditionals mixed by posterior
-    responsibilities, independently of the score identity it is used to
-    verify.
-    """
-    return _velocity(g, x, t_flow, lambda t: _flow_level(g, t))
-
-
 def score_from_velocity(v, x, t_flow: float):
     """Linear velocity-to-score transform s = -(-t v + x) / (1 - t)."""
     t_flow = float(t_flow)
@@ -426,8 +396,24 @@ class GmmVelocityModel(ScoreModel):
     def dim(self) -> int:
         return self.gmm.dim
 
-    def velocity(self, x, t_flow):
-        return _velocity(self.gmm, x, t_flow, self._level_at)
+    def velocity(self, x, t_flow: float):
+        """E[x_0 - eps | x_t = x] under the flow interpolation.
+
+        Computed from per-component Gaussian conditionals mixed by posterior
+        responsibilities, independently of the score identity it is used to
+        verify.
+        """
+        t_flow = float(t_flow)
+        if not 0.0 < t_flow < 1.0:
+            raise ValueError("t_flow must lie strictly inside (0, 1)")
+        # whitened[j] = C_j^-1 (x - t mu_j), (d, m)
+        batch, log_comp, whitened = _component_terms(x, self._level_at(t_flow), whiten=True)
+        comp_v = [
+            (mu + (t_flow * sigma @ u).T) - (1.0 - t_flow) * u.T  # E[x_0] - E[eps]
+            for mu, sigma, u in zip(self.gmm.means, self.gmm.covariances(), whitened)
+        ]  # K arrays (m, d)
+        resp = np.exp(log_comp - _logsumexp(log_comp))
+        return _mix(resp, comp_v).reshape(batch + (self.dim,))
 
     def predict_epsilon(self, x, t, schedule):
         ab = schedule.alpha_bar_at(t)

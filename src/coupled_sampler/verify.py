@@ -76,11 +76,11 @@ def self_alignment_gap(sched: schedule.NoiseSchedule) -> float:
 
 
 def flow_duality_error(g: models.Gmm, x, ts) -> float:
-    """score_from_velocity(velocity_from_gmm) vs the central-difference
+    """score_from_velocity(GmmVelocityModel(g).velocity) vs the central-difference
     gradient of the flow-marginal log density, max relative error over ts."""
-    worst = 0.0
+    flow, worst = models.GmmVelocityModel(g), 0.0
     for t in ts:
-        s = models.score_from_velocity(models.velocity_from_gmm(g, x, t), x, t)
+        s = models.score_from_velocity(flow.velocity(x, t), x, t)
         fd = central_difference(lambda y: models.gmm_flow_log_density(g, y, t), x, 1e-5)
         denom = np.maximum(np.linalg.norm(fd, axis=1), 1.0)
         worst = max(worst, float(np.max(np.linalg.norm(s - fd, axis=1) / denom)))
@@ -132,7 +132,7 @@ def run_verify() -> list:
         g = resolve_gmm(name)
         for ab in (0.15, 0.5, 0.9):
             x = rng.normal(scale=2.0, size=(40, g.dim))
-            score = -models.gmm_epsilon(g, x, ab) / np.sqrt(1.0 - ab)
+            score = -models.GmmScoreModel(g).epsilon(x, ab) / np.sqrt(1.0 - ab)
             fd = central_difference(lambda y: models.gmm_noised_log_density(g, y, ab), x, 1e-5)
             score_err = max(score_err, float(np.max(np.abs(score - fd))))
 

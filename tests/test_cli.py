@@ -13,7 +13,7 @@ from coupled_sampler import cli, models, presets, verify
 from coupled_sampler.cli import main
 from coupled_sampler.config import ConfigError
 from coupled_sampler.coupling import GUIDANCE_RULES
-from coupled_sampler.metrics import MetricReport
+from coupled_sampler.metrics import MetricReport, consistency_residual, gmm_nll
 from coupled_sampler.models import gmm_sample, mv_consistent_model
 from coupled_sampler.presets import load_preset, resolve_gmm, resolve_pair, resolve_scene
 from coupled_sampler.rng import generator
@@ -188,6 +188,28 @@ class TestCoupleCommand:
         names = {m["name"] for m in json.loads((out / "metrics.json").read_text())}
         assert {"nll-a", "consistency-residual-a", "consistency-residual-b",
                 "coupling-median-vs-lambda0-reference"} <= names
+
+    def test_scene_numbers_follow_its_view_layout(self, tmp_path):
+        # 2 views of 3 dimensions, so a swapped (3, 2) view layout gives other numbers
+        mixture = {"weights": [0.4, 0.6], "means": [[1.0, 0.0, -1.0], [-1.0, 2.0, 0.5]],
+                   "covariances": [np.diag([1.0, 0.5, 2.0]).tolist(), np.eye(3).tolist()]}
+        edit = dict(mixture, means=[[2.0, 0.0, -1.0], [0.0, 2.0, 0.5]])
+        doc = couple_config()
+        del doc["pair"]
+        doc["scene"] = {"n_views": 2, "view_dim": 3, "jitter": 0.1, "latent": mixture,
+                        "edit": edit}
+        out = tmp_path / "out"
+        assert main(["couple", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        reported = {m["name"]: m["value"] for m in json.loads((out / "metrics.json").read_text())}
+        a, b = (np.loadtxt(out / f"samples_{c}.csv", delimiter=",", skiprows=1)[:, 1:]
+                for c in "ab")
+        assert a.shape == b.shape == (doc["n"], 6)
+        scene = resolve_scene(doc["scene"])
+        assert reported["nll-a"] == gmm_nll(scene.edit_gmm, a.reshape(-1, 3))
+        assert reported["nll-b"] == gmm_nll(mv_consistent_model(scene), b)
+        for label, x in (("a", a), ("b", b)):
+            assert reported[f"consistency-residual-{label}"] == float(
+                np.median(consistency_residual(x, 2, 3)))
 
     @pytest.mark.parametrize("key, spec", [
         ("pair", "two-moons-pair"),
@@ -967,6 +989,13 @@ def test_readme_names_every_key_and_value(section, schema, values):
     keys = re.findall(r"`(\w+)`", re.sub(r"\(.*?\)", "", bullet, flags=re.S))
     assert sorted(keys) == sorted(schema)
     assert sorted(re.findall(r"`(\w+)`", in_parens)) == sorted(values)
+
+
+def test_readme_library_sketch_runs(fresh_python):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sketch,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    median = float(fresh_python(sketch))
+    assert math.isfinite(median) and median > 0.0
 
 
 def test_cli_import_skips_scipy_spatial(fresh_python):

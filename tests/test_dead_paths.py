@@ -12,9 +12,6 @@ KEPT = {
     "coupling._AveragedModel.__init__": "part of the C9 baseline",
     "coupling._AveragedModel.dim": "part of the C9 baseline",
     "coupling._AveragedModel.predict_epsilon": "part of the C9 baseline",
-    "models.GmmVelocityModel.__init__": "a velocity-parameterised model for cross-checks",
-    "models.GmmVelocityModel.dim": "a velocity-parameterised model for cross-checks",
-    "models.GmmVelocityModel.velocity": "a velocity-parameterised model for cross-checks",
     "models.GmmVelocityModel.predict_epsilon": "a velocity-parameterised model for cross-checks",
     "schedule.alpha_bar_to_flow_time": "used by GmmVelocityModel.predict_epsilon",
 }

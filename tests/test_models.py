@@ -17,14 +17,12 @@ from coupled_sampler.models import (
     GmmVelocityModel,
     MvScene,
     _load_linalg_extension,
-    gmm_epsilon,
     gmm_flow_log_density,
     gmm_noised_log_density,
     gmm_sample,
     mv_consistent_model,
     mv_view_marginal,
     score_from_velocity,
-    velocity_from_gmm,
 )
 from coupled_sampler.metrics import energy_permutation_test
 from coupled_sampler.sampler import SamplerConfig, sample
@@ -154,7 +152,7 @@ class TestEpsilon:
         g = std_normal()
         x = np.array([[0.7, -0.3], [-1.5, 2.0]])
         for ab in (0.2, 0.5, 0.9):
-            eps = gmm_epsilon(g, x, ab)
+            eps = GmmScoreModel(g).epsilon(x, ab)
             assert eps == pytest.approx(math.sqrt(1 - ab) * x, rel=1e-12)
             x0 = (x - math.sqrt(1 - ab) * eps) / math.sqrt(ab)
             assert x0 == pytest.approx(math.sqrt(ab) * x, rel=1e-12)
@@ -163,7 +161,7 @@ class TestEpsilon:
         mu = np.array([2.0, -1.0])
         g = Gmm.from_covariances([1.0], [mu], [np.eye(2)])
         ab = 0.3
-        eps = gmm_epsilon(g, math.sqrt(ab) * mu, ab)
+        eps = GmmScoreModel(g).epsilon(math.sqrt(ab) * mu, ab)
         assert np.max(np.abs(eps)) < 1e-12
 
     def test_matches_finite_difference_of_log_density(self):
@@ -171,7 +169,7 @@ class TestEpsilon:
         g = random_gmm(rng)
         ab = 0.5
         x = rng.normal(scale=2.0, size=(100, 2))
-        eps = gmm_epsilon(g, x, ab)
+        eps = GmmScoreModel(g).epsilon(x, ab)
         fd = central_difference(lambda y: gmm_noised_log_density(g, y, ab), x, 1e-5)
         assert np.max(np.abs(eps - (-math.sqrt(1 - ab) * fd))) < 1e-5
 
@@ -182,7 +180,7 @@ class TestEpsilon:
         )
         ab = 0.4
         x = np.array([0.4, 0.2])
-        eps = gmm_epsilon(g, x, ab)
+        eps = GmmScoreModel(g).epsilon(x, ab)
         x0_hat = (x - math.sqrt(1 - ab) * eps) / math.sqrt(ab)
         grid = np.linspace(-7.0, 7.0, 301)
         h = grid[1] - grid[0]
@@ -199,14 +197,14 @@ class TestEpsilon:
         g = std_normal()
         for ab in (1.0, 0.0):
             with pytest.raises(ValueError):
-                gmm_epsilon(g, np.zeros(2), ab)
+                GmmScoreModel(g).epsilon(np.zeros(2), ab)
 
     def test_purity(self):
         rng = np.random.default_rng(5)
         g = random_gmm(rng)
         x = rng.normal(size=(8, 2))
-        a = gmm_epsilon(g, x, 0.37)
-        b = gmm_epsilon(g, x, 0.37)
+        a = GmmScoreModel(g).epsilon(x, 0.37)
+        b = GmmScoreModel(g).epsilon(x, 0.37)
         assert np.array_equal(a, b)
 
 
@@ -275,7 +273,7 @@ class TestBlockProduct:
         for t in (1, 5, 10):
             ab = sched.alpha_bar_at(t)
             assert model.predict_epsilon(x, t, sched) == pytest.approx(
-                gmm_epsilon(product, x, ab), abs=1e-10
+                GmmScoreModel(product).epsilon(x, ab), abs=1e-10
             )
 
     def test_folded_call_matches_per_view_calls(self):
@@ -387,7 +385,7 @@ class TestVelocity:
         x = np.array([[0.8, -0.4], [1.2, 2.0]])
         for t in (0.2, 0.5, 0.8):
             s2 = t * t + (1 - t) ** 2
-            assert velocity_from_gmm(g, x, t) == pytest.approx(
+            assert GmmVelocityModel(g).velocity(x, t) == pytest.approx(
                 (2 * t - 1) / s2 * x, rel=1e-12
             )
 
@@ -403,7 +401,7 @@ class TestVelocity:
         w = np.exp(logw)
         e_x0 = (draws * w[:, None]).sum(0) / w.sum()
         e_eps = (x - t * e_x0) / (1 - t)
-        assert velocity_from_gmm(g, x, t) == pytest.approx(e_x0 - e_eps, abs=2e-2)
+        assert GmmVelocityModel(g).velocity(x, t) == pytest.approx(e_x0 - e_eps, abs=2e-2)
 
     def test_single_gaussian_at_scaled_mean(self):
         # E[x0 | t mu] = mu and E[eps | t mu] = 0 for any component width
@@ -411,13 +409,13 @@ class TestVelocity:
         for s2 in (1e-8, 0.5):
             g = Gmm.from_covariances([1.0], [mu], [np.eye(2) * s2])
             for t in (0.3, 0.7):
-                assert velocity_from_gmm(g, t * mu, t) == pytest.approx(mu, abs=1e-10)
+                assert GmmVelocityModel(g).velocity(t * mu, t) == pytest.approx(mu, abs=1e-10)
 
     def test_rejects_endpoints(self):
         g = std_normal()
         for t in (0.0, 1.0):
             with pytest.raises(ValueError):
-                velocity_from_gmm(g, np.zeros(2), t)
+                GmmVelocityModel(g).velocity(np.zeros(2), t)
 
     def test_model_cache_matches_uncached_bits(self):
         rng = np.random.default_rng(43)
@@ -425,7 +423,7 @@ class TestVelocity:
         model = GmmVelocityModel(g)
         x = rng.normal(scale=1.5, size=(40, 3))
         for t in (0.1, 0.5, 0.5, 0.9, 0.5):  # 0.5 twice in a row: a memo hit
-            assert np.array_equal(model.velocity(x, t), velocity_from_gmm(g, x, t))
+            assert np.array_equal(model.velocity(x, t), GmmVelocityModel(g).velocity(x, t))
         info = model._level_at.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 4, 1)
 
@@ -441,7 +439,7 @@ class TestScoreFromVelocity:
         x = np.array([[1.0, -0.5], [0.2, 0.8]])
         for t in (0.25, 0.5, 0.75):
             s2 = t * t + (1 - t) ** 2
-            s = score_from_velocity(velocity_from_gmm(g, x, t), x, t)
+            s = score_from_velocity(GmmVelocityModel(g).velocity(x, t), x, t)
             assert s == pytest.approx(-x / s2, rel=1e-10)
 
     def test_duality_with_flow_density_gradient(self):
@@ -457,7 +455,7 @@ class TestScoreFromVelocity:
 
 
 class TestVelocityWrapping:
-    def test_standard_normal_equals_gmm_epsilon(self):
+    def test_standard_normal_equals_closed_form_epsilon(self):
         g = std_normal()
         sched = build_linear(20, 0.02, 0.3)
         flow = GmmVelocityModel(g)
@@ -582,7 +580,7 @@ class TestScipyOracle:
             for ab in (1e-3, 0.37, 0.999):
                 log_p, score, _, _ = scipy_noised(g, x, ab)
                 assert_oracle(gmm_noised_log_density(g, x, ab), log_p, exact)
-                assert_oracle(gmm_epsilon(g, x, ab), -math.sqrt(1.0 - ab) * score, exact)
+                assert_oracle(GmmScoreModel(g).epsilon(x, ab), -math.sqrt(1.0 - ab) * score, exact)
             assert_oracle(gmm_noised_log_density(g, x, 1.0), scipy_noised(g, x, 1.0)[0], exact)
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -597,7 +595,7 @@ class TestScipyOracle:
             for t in (0.05, 0.5, 0.95):
                 log_p, v = scipy_velocity(g, x, t)
                 assert_oracle(gmm_flow_log_density(g, x, t), log_p, exact)
-                assert_oracle(velocity_from_gmm(g, x, t), v, exact)
+                assert_oracle(GmmVelocityModel(g).velocity(x, t), v, exact)
 
     def test_batched_non_contiguous_points(self):
         rng = np.random.default_rng(11)
@@ -606,10 +604,10 @@ class TestScipyOracle:
         assert not x.flags.c_contiguous
         log_p, score, _, _ = scipy_noised(g, x, 0.6)
         assert_oracle(gmm_noised_log_density(g, x, 0.6), log_p)
-        assert_oracle(gmm_epsilon(g, x, 0.6), -math.sqrt(0.4) * score)
-        assert_oracle(velocity_from_gmm(g, x, 0.6), scipy_velocity(g, x, 0.6)[1])
+        assert_oracle(GmmScoreModel(g).epsilon(x, 0.6), -math.sqrt(0.4) * score)
+        assert_oracle(GmmVelocityModel(g).velocity(x, 0.6), scipy_velocity(g, x, 0.6)[1])
 
-    def test_score_model_matches_gmm_epsilon(self):
+    def test_score_model_matches_a_fresh_model(self):
         rng = np.random.default_rng(12)
         g = random_gmm(rng, k=3, d=2)
         x = rng.normal(size=(128, 2))
@@ -618,7 +616,7 @@ class TestScipyOracle:
         for repeat in range(2):  # a first call builds each level, the second reuses it
             for t in (20, 7, 1):
                 for sched in schedules:  # two schedules share one model instance
-                    expected = gmm_epsilon(g, x, sched.alpha_bar_at(t))
+                    expected = GmmScoreModel(g).epsilon(x, sched.alpha_bar_at(t))
                     np.testing.assert_array_equal(model.predict_epsilon(x, t, sched), expected)
 
 
@@ -630,8 +628,8 @@ def test_non_finite_points_rejected(value):
     sched = build_linear(10, 0.05, 0.3)
     calls = [
         lambda: gmm_noised_log_density(g, x, 0.5),
-        lambda: gmm_epsilon(g, x, 0.5),
-        lambda: velocity_from_gmm(g, x, 0.5),
+        lambda: GmmScoreModel(g).epsilon(x, 0.5),
+        lambda: GmmVelocityModel(g).velocity(x, 0.5),
         lambda: GmmScoreModel(g).predict_epsilon(x, 5, sched),
     ]
     for call in calls:

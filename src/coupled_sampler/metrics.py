@@ -9,11 +9,10 @@ op ("le" or "ge"); its passed verdict is derived from those, never stored.
 The run's sample count and seed are the CLI's to record, not a report's.
 
 The energy test's two float32 matrix products call sgemm from
-scipy.linalg._fblas, which models' loader loads on the first test, so a
-command that runs no energy test never loads it. That sgemm runs on scipy's
-OpenBLAS, the library and thread pool that already run the mixture's
-triangular solves; numpy's matmul would wake numpy's own OpenBLAS and its
-pool (see models).
+scipy.linalg._fblas, the extension models loads at import for its
+triangular solves. That sgemm runs on scipy's OpenBLAS, the library and
+thread pool that already run those solves; numpy's matmul would wake
+numpy's own OpenBLAS and its pool (see models).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Gmm, _load_linalg_extension, gmm_noised_log_density
+from .models import Gmm, _fblas, gmm_noised_log_density
 
 
 def _cloud(obj, name: str) -> np.ndarray:
@@ -101,11 +100,6 @@ _BLOCK_ROWS = 256
 _NULL_QUANTILE = 0.99
 
 
-def _sgemm():
-    """scipy's BLAS sgemm, from scipy.linalg._fblas, loaded on first use."""
-    return _load_linalg_extension("_fblas").sgemm
-
-
 @dataclass(frozen=True)
 class EnergyTestResult:
     statistic: float
@@ -173,7 +167,7 @@ def energy_permutation_test(cloud_a, cloud_b, rng: np.random.Generator,
     # matrix D, from its diagonal rightwards. sel.T D sel = 2 sel.T U sel, and
     # sel.T D 1 = sel.T U 1 + 1.T U sel.
     # dist is C-ordered, so dist.T is the Fortran-ordered array sgemm writes.
-    sgemm = _sgemm()
+    sgemm = _fblas.sgemm
     lower = np.tri(rows, dtype=bool)
     buf = np.empty(rows * padded, dtype=np.float32)
     inner = np.zeros(n_permutations + 2)  # sel.T U sel; last entry 1.T U 1

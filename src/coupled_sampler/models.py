@@ -20,17 +20,18 @@ table, its last level's, in an lru_cache(maxsize=1): the chunks of one
 step share it. Epsilon and the flow velocity are read only through a model,
 GmmScoreModel.epsilon and GmmVelocityModel.velocity, so both use that table.
 
-The triangular solves call LAPACK dtrtrs from scipy.linalg._flapack, the
-extension scipy.linalg.lapack re-exports. _load_linalg_extension loads such
-an extension file directly instead of importing scipy.linalg, whose package
-init pulls in about 300 modules (numpy.f2py and numpy.testing among them)
-and would be most of a CLI process's start-up time and memory. The function
-object is the one scipy.linalg.lapack hands out, so every output bit is the
-same. _flapack loads at import; the energy test in metrics loads
-scipy.linalg._fblas, for sgemm, on its first call. Both extensions link
-scipy's OpenBLAS, not numpy's, so a run's hot BLAS and LAPACK calls share
-one thread pool: a second pool's workers would spin on the cores the first
-waits for.
+The triangular solves call BLAS dtrsm from scipy.linalg._fblas on the right
+of dimension-major rows: x - mu_j is held (d, m), one contiguous row per
+coordinate, and its Fortran-ordered (m, d) view is solved in place, so a
+row's density and epsilon have the same bits whatever the call's row count.
+_load_linalg_extension loads that extension file directly instead of
+importing scipy.linalg, whose package init pulls in about 300 modules
+(numpy.f2py and numpy.testing among them) and would be most of a CLI
+process's start-up time and memory. Its dtrsm and sgemm (the energy test's,
+in metrics) are the function objects scipy.linalg.blas hands out, so every
+output bit is the same. The extension links scipy's OpenBLAS, not numpy's,
+so a run's hot BLAS calls share one thread pool: a second pool's workers
+would spin on the cores the first waits for.
 """
 
 from __future__ import annotations
@@ -191,20 +192,18 @@ def _load_linalg_extension(stem: str):
     raise ImportError(f"scipy's extension {name} not found; searched {searched}")
 
 
-dtrtrs = _load_linalg_extension("_flapack").dtrtrs
+_fblas = _load_linalg_extension("_fblas")
+dtrsm = _fblas.dtrsm
 
 
-def _solve_upper(upper, b, trans: int) -> np.ndarray:
-    """upper^-T b (trans=1) or upper^-1 b (trans=0).
+def _solve_upper(upper, rows, trans: int) -> np.ndarray:
+    """upper^-T r (trans=0) or upper^-1 r (trans=1) for each column r of the
+    C-ordered (d, m) rows, solved in place on the right of their (m, d) view.
 
-    The LAPACK call scipy.linalg.solve_triangular makes for these operands,
-    without its wrappers. A Fortran-ordered float64 b is solved in place, so
-    pass only temporaries.
+    dtrsm returns no info: every factor comes out of a Cholesky
+    factorisation with a positive diagonal.
     """
-    out, info = dtrtrs(upper, b, lower=False, trans=trans, overwrite_b=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
-    return out
+    return dtrsm(1.0, upper, rows.T, side=1, trans_a=trans, overwrite_b=1).T
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -224,48 +223,44 @@ def _component_terms(x, level: _Level, whiten: bool):
 
     x may carry arbitrary leading batch axes; the last axis is the event
     dimension. Returns (batch shape, (K, m) log terms, K whitened differences
-    of shape (d, m)); the whitened list is None unless whiten is set, so
-    density-only calls skip the back-solve.
+    as C-ordered (d, m) rows); the whitened list is None unless whiten is
+    set, so density-only calls skip the back-solve.
     """
     x = np.asarray(x, dtype=np.float64)
     k, d = level.means.shape
     if x.shape[-1] != d:
         raise ValueError(f"points have dimension {x.shape[-1]}, model has {d}")
     batch = x.shape[:-1]
-    flat = x.reshape(-1)
-    if not np.isfinite(flat).all():
+    rows = np.ascontiguousarray(x.reshape(-1, d).T)  # (d, m), one row per coordinate
+    if not np.isfinite(rows).all():
         raise ValueError("points must not contain infs or NaNs")
-    m = flat.size // d
+    m = rows.shape[1]
 
     log_comp = np.empty((k, m))
     whitened = [] if whiten else None
     for j in range(k):
         upper = level.uppers[j]
-        # x - mu as one flat op against the tiled mean; .T is (d, m), Fortran-ordered
-        diff = (flat - np.tile(level.means[j], m)).reshape(m, d).T
-        y = _solve_upper(upper, diff, trans=1)  # L^-1 (x - mu)
+        y = _solve_upper(upper, rows - level.means[j][:, None], trans=0)  # L^-1 (x - mu)
         maha = y[0] * y[0]
         for row in y[1:]:
             maha += row * row
         log_comp[j] = level.log_w[j] - 0.5 * maha - level.log_dets[j] - 0.5 * d * _LOG_2PI
         if whiten:
-            whitened.append(_solve_upper(upper, y, trans=0))
+            whitened.append(_solve_upper(upper, y, trans=1))
     return batch, log_comp, whitened
 
 
 def _mix(resp: np.ndarray, parts) -> np.ndarray:
-    """sum_j resp[j] parts[j] of (K, m) weights and K (m, d) arrays, added
-    in sequence column by column on length-m rows.
+    """sum_j resp[j] parts[j] of (K, m) weights and K (d, m) arrays, added
+    in sequence along the length-m rows.
 
     The result is C-ordered (m, d): reductions over its last axis pick their
     order from the layout.
     """
-    m, d = parts[0].shape
-    out = np.zeros((m, d))
+    out = np.zeros(parts[0].shape)
     for r, z in zip(resp, parts):
-        for c in range(d):
-            out[:, c] += r * z[:, c]
-    return out
+        out += r * z
+    return np.ascontiguousarray(out.T)
 
 
 def _mixture_eval(x, level: _Level, want_score: bool):
@@ -275,7 +270,7 @@ def _mixture_eval(x, level: _Level, want_score: bool):
     if not want_score:
         return log_p.reshape(batch)
     resp = np.exp(log_comp - log_p)
-    score = _mix(resp, [u.T for u in whitened])
+    score = _mix(resp, whitened)
     np.negative(score, out=score)
     return log_p.reshape(batch), score.reshape(batch + (level.means.shape[1],))
 
@@ -409,9 +404,9 @@ class GmmVelocityModel(ScoreModel):
         # whitened[j] = C_j^-1 (x - t mu_j), (d, m)
         batch, log_comp, whitened = _component_terms(x, self._level_at(t_flow), whiten=True)
         comp_v = [
-            (mu + (t_flow * sigma @ u).T) - (1.0 - t_flow) * u.T  # E[x_0] - E[eps]
+            (mu[:, None] + t_flow * sigma @ u) - (1.0 - t_flow) * u  # E[x_0] - E[eps]
             for mu, sigma, u in zip(self.gmm.means, self.gmm.covariances(), whitened)
-        ]  # K arrays (m, d)
+        ]  # K arrays (d, m)
         resp = np.exp(log_comp - _logsumexp(log_comp))
         return _mix(resp, comp_v).reshape(batch + (self.dim,))
 

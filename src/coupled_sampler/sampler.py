@@ -49,8 +49,8 @@ KINDS = ("ancestral", "deterministic")
 # Rows x d of one step chunk. Its copies share a model call per chain, and
 # its temporaries bound the step's memory. Here the five d = 2 copies of the
 # coupled bench's five-lambda sweeps (n = 2048) share one chunk and each
-# d = 6 copy runs alone; the bench peaks at 45.7 MB at this bound, 48.7-49.2
-# MB at 40960 and 51.5-51.7 MB with no bound (October 2026, 2 vCPUs).
+# d = 6 copy runs alone; the bench peaks at 45.4-45.6 MB at this bound, 48.5
+# MB at 40960 and 50.6 MB with no bound (October 2026, 2 vCPUs).
 _CHUNK_ELEMENTS = 20480
 
 
@@ -136,10 +136,8 @@ def _step(x_t, eps_hat, z, schedule: NoiseSchedule, t: int, t_next: int, kind: s
 
 
 def _chunks(copies: int, n: int, d: int) -> list:
-    """Slices of whole copies, at most _CHUNK_ELEMENTS rows x d each. At n = 1
-    each copy runs alone: a 1-row mixture call rounds differently in LAPACK
-    from the same row solved among others."""
-    per = 1 if n == 1 else max(1, _CHUNK_ELEMENTS // (n * d))
+    """Slices of whole copies, at most _CHUNK_ELEMENTS rows x d each."""
+    per = max(1, _CHUNK_ELEMENTS // (n * d))
     return [slice(lo, min(lo + per, copies)) for lo in range(0, copies, per)]
 
 

@@ -1004,26 +1004,32 @@ def test_cli_import_skips_scipy_spatial(fresh_python):
     assert fresh_python(code) == "[]"
 
 
-def test_cli_import_loads_only_flapack_from_scipy_linalg(fresh_python):
+def test_cli_import_loads_only_fblas_from_scipy_linalg(fresh_python):
     code = ("import sys, coupled_sampler.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
             "(['scipy', 'linalg'], ['numpy', 'f2py'], ['numpy', 'testing'])))")
-    assert fresh_python(code) == "['scipy.linalg._flapack']"
+    assert fresh_python(code) == "['scipy.linalg._fblas']"
 
 
 @pytest.mark.parametrize("first, second", [
-    ("coupled_sampler.models", "scipy.linalg.lapack"),
-    ("scipy.linalg.lapack", "coupled_sampler.models"),
+    ("coupled_sampler.models", "scipy.linalg.blas"),
+    ("scipy.linalg.blas", "coupled_sampler.models"),
 ], ids=["package_first", "scipy_first"])
-def test_dtrtrs_is_scipy_lapack_dtrtrs(first, second, fresh_python):
+def test_dtrsm_is_scipy_blas_dtrsm(first, second, fresh_python):
     code = (f"import sys, {first}, {second}; "
-            "print(sys.modules['scipy.linalg.lapack'].dtrtrs "
-            "is sys.modules['coupled_sampler.models'].dtrtrs)")
+            "print(sys.modules['scipy.linalg.blas'].dtrsm "
+            "is sys.modules['coupled_sampler.models'].dtrsm)")
     assert fresh_python(code) == "True"
 
 
-_ENERGY_TEST = ("import numpy as np; from coupled_sampler import metrics; "
-                "metrics.energy_permutation_test(np.eye(2), -np.eye(2), np.random.default_rng(0))")
+# a spy on metrics._fblas.sgemm counts the energy test's calls
+_ENERGY_TEST = (
+    "from unittest import mock\n"
+    "import numpy as np; from coupled_sampler import metrics\n"
+    "sgemm = metrics._fblas.sgemm\n"
+    "with mock.patch.object(metrics._fblas, 'sgemm', side_effect=sgemm) as spy:\n"
+    "    metrics.energy_permutation_test(np.eye(2), -np.eye(2), np.random.default_rng(0))"
+)
 
 
 @pytest.mark.parametrize("first, second", [
@@ -1031,24 +1037,17 @@ _ENERGY_TEST = ("import numpy as np; from coupled_sampler import metrics; "
     ("import scipy.linalg.blas", _ENERGY_TEST),
 ], ids=["package_first", "scipy_first"])
 def test_energy_test_sgemm_is_scipy_blas_sgemm(first, second, fresh_python):
-    # a spy on metrics._sgemm records the function each energy test calls
-    code = (
-        "import sys; from coupled_sampler import metrics\n"
-        "called, load = [], metrics._sgemm\n"
-        "metrics._sgemm = lambda: called.append(load()) or called[-1]\n"
-        f"{first}\n{second}\n"
-        "print(len(called), called[0] is sys.modules['scipy.linalg.blas'].sgemm)"
-    )
-    assert fresh_python(code) == "1 True"
+    code = (f"import sys\n{first}\n{second}\n"
+            "print(spy.call_count, sgemm is sys.modules['scipy.linalg.blas'].sgemm)")
+    assert fresh_python(code) == "2 True"  # 4 points make one strip, two products
 
 
-@pytest.mark.parametrize("command, doc, loaded", [
-    ("sample", sample_config(), ["scipy.linalg._fblas", "scipy.linalg._flapack"]),
-    ("couple", couple_config(), ["scipy.linalg._flapack"]),
+@pytest.mark.parametrize("command, doc", [
+    ("sample", sample_config()),
+    ("couple", couple_config()),
 ], ids=["sample", "couple"])
-def test_run_loads_only_its_extensions_from_scipy_linalg(tmp_path, command, doc, loaded,
-                                                          fresh_python):
-    # sample runs the energy test on scipy's BLAS; couple runs none
+def test_run_loads_only_its_extensions_from_scipy_linalg(tmp_path, command, doc, fresh_python):
+    # sample's energy test and both commands' mixture calls share one extension
     cfg = write_config(tmp_path, doc)
     code = (
         "import contextlib, io, sys\n"
@@ -1058,7 +1057,7 @@ def test_run_loads_only_its_extensions_from_scipy_linalg(tmp_path, command, doc,
         "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
         "(['scipy', 'linalg'], ['numpy', 'f2py'], ['numpy', 'testing'])))"
     )
-    assert fresh_python(code) == str(loaded)
+    assert fresh_python(code) == "['scipy.linalg._fblas']"
 
 
 def test_artifacts_same_bits_at_one_and_two_blas_threads(tmp_path, fresh_python):

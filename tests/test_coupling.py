@@ -373,9 +373,7 @@ class TestCoupledSweep:
         d = ma.dim
         assert rows and all(r % n == 0 for r in rows)
         assert max(rows) * d <= max(sampler._CHUNK_ELEMENTS, n * d)
-        if n == 1:
-            assert set(rows) == {1}  # a 1-row call rounds differently; never merged
-        elif 2 * n * d <= sampler._CHUNK_ELEMENTS:
+        if 2 * n * d <= sampler._CHUNK_ELEMENTS:
             assert max(rows) > n  # copies were merged
         else:
             assert set(rows) == {n}

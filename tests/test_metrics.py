@@ -246,15 +246,15 @@ class TestBlockedEnergyTest:
     def test_distance_strip_written_into_its_buffer(self, monkeypatch):
         # f2py copies an operand that is not a Fortran-ordered float32 array
         # and writes the copy, leaving the strip buffer unwritten
-        load, in_place = metrics._sgemm, []
+        sgemm, in_place = metrics._fblas.sgemm, []
 
         def spy(*args, **kwargs):
-            out = load()(*args, **kwargs)
+            out = sgemm(*args, **kwargs)
             if "c" in kwargs:
                 in_place.append(np.shares_memory(out, kwargs["c"]))
             return out
 
-        monkeypatch.setattr(metrics, "_sgemm", lambda: spy)
+        monkeypatch.setattr(metrics._fblas, "sgemm", spy)
         rng = np.random.default_rng(5)
         energy_permutation_test(rng.normal(size=(300, 2)), rng.normal(size=(213, 2)), rng)
         assert in_place == [True] * 3  # 513 points make three strips

@@ -637,6 +637,37 @@ def test_non_finite_points_rejected(value):
             call()
 
 
+@pytest.mark.parametrize("d", [1, 2, 4, 6])
+def test_row_bits_independent_of_call_rows(d):
+    rng = np.random.default_rng(40 + d)
+    model = GmmScoreModel(random_gmm(rng, k=3, d=d))
+    x = rng.normal(scale=2.0, size=(4099, d))
+    whole = model.epsilon(x, 0.4)
+    for i in (0, 1, 1000, 4097, 4098):
+        want = whole[i].tobytes()
+        assert model.epsilon(x[i:i + 1], 0.4).tobytes() == want, (i, "alone")
+        lo = min(i, 4097)
+        pair = model.epsilon(x[lo:lo + 2], 0.4)
+        assert pair[i - lo].tobytes() == want, (i, "in a 2-row call")
+
+
+def test_triangular_solves_written_into_their_operand(monkeypatch):
+    # f2py copies an operand that is not a Fortran-ordered float64 array and
+    # writes the copy, leaving the component's rows unsolved
+    solve, in_place = models.dtrsm, []
+
+    def spy(alpha, a, b, **kwargs):
+        out = solve(alpha, a, b, **kwargs)
+        in_place.append(np.shares_memory(out, b))
+        return out
+
+    monkeypatch.setattr(models, "dtrsm", spy)
+    g = random_gmm(np.random.default_rng(41), k=3, d=4)
+    GmmScoreModel(g).epsilon(np.random.default_rng(42).normal(size=(5, 2, 4)), 0.4)
+    GmmVelocityModel(g).velocity(np.random.default_rng(43).normal(size=(7, 4))[::2], 0.4)
+    assert in_place == [True] * 12  # two solves per component per call
+
+
 @pytest.mark.parametrize("stem", ["_flapack", "_fblas"])
 def test_missing_lapack_extension_names_paths_searched(tmp_path, monkeypatch, stem):
     monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])

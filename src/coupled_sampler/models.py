@@ -15,8 +15,9 @@ scores go through triangular solves, never explicit inverses. Mixture
 responsibilities are formed in log space. The K per-component terms of m
 points are held component-major, (K, m), so every array op runs on a
 contiguous row of length m, not on m rows of length K. Sums over the
-components run in sequence along the K axis. A model keeps one level
-table, its last level's, in an lru_cache(maxsize=1): the chunks of one
+components run in sequence along the K axis. One kernel pass,
+_component_terms, serves densities, scores and velocities. A model keeps one
+level table, its last level's, in an lru_cache(maxsize=1): the chunks of one
 step share it. Epsilon and the flow velocity are read only through a model,
 GmmScoreModel.epsilon and GmmVelocityModel.velocity, so both use that table.
 
@@ -24,14 +25,14 @@ The triangular solves call BLAS dtrsm from scipy.linalg._fblas on the right
 of dimension-major rows: x - mu_j is held (d, m), one contiguous row per
 coordinate, and its Fortran-ordered (m, d) view is solved in place, so a
 row's density and epsilon have the same bits whatever the call's row count.
-_load_linalg_extension loads that extension file directly instead of
-importing scipy.linalg, whose package init pulls in about 300 modules
-(numpy.f2py and numpy.testing among them) and would be most of a CLI
-process's start-up time and memory. Its dtrsm and sgemm (the energy test's,
-in metrics) are the function objects scipy.linalg.blas hands out, so every
-output bit is the same. The extension links scipy's OpenBLAS, not numpy's,
-so a run's hot BLAS calls share one thread pool: a second pool's workers
-would spin on the cores the first waits for.
+_load_fblas loads that extension file directly instead of importing
+scipy.linalg, whose package init pulls in about 300 modules (numpy.f2py and
+numpy.testing among them) and would be most of a CLI process's start-up time
+and memory. Its dtrsm and sgemm (the energy test's, in metrics) are the
+function objects scipy.linalg.blas hands out, so every output bit is the
+same. The extension links scipy's OpenBLAS, not numpy's, so a run's hot BLAS
+calls share one thread pool: a second pool's workers would spin on the cores
+the first waits for.
 """
 
 from __future__ import annotations
@@ -171,16 +172,16 @@ def _flow_level(g: Gmm, t_flow: float) -> _Level:
     return _level(g, t_flow, t_flow**2, (1.0 - t_flow) ** 2)
 
 
-def _load_linalg_extension(stem: str):
-    """scipy.linalg.<stem>, loaded from its file under scipy.__path__ and
+def _load_fblas():
+    """scipy.linalg._fblas, loaded from its file under scipy.__path__ and
     registered under its own name, so scipy/linalg/__init__.py never runs."""
-    name = f"scipy.linalg.{stem}"
+    name = "scipy.linalg._fblas"
     if name in sys.modules:  # scipy.linalg, or an earlier call, loaded it
         return sys.modules[name]
     searched = []
     for root in scipy.__path__:
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = Path(root, "linalg", stem + suffix)
+            path = Path(root, "linalg", "_fblas" + suffix)
             if path.is_file():
                 loader = importlib.machinery.ExtensionFileLoader(name, str(path))
                 spec = importlib.util.spec_from_loader(name, loader)
@@ -192,7 +193,7 @@ def _load_linalg_extension(stem: str):
     raise ImportError(f"scipy's extension {name} not found; searched {searched}")
 
 
-_fblas = _load_linalg_extension("_fblas")
+_fblas = _load_fblas()
 dtrsm = _fblas.dtrsm
 
 
@@ -206,25 +207,13 @@ def _solve_upper(upper, rows, trans: int) -> np.ndarray:
     return dtrsm(1.0, upper, rows.T, side=1, trans_a=trans, overwrite_b=1).T
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=0)) of a (K, m) array, one result per column.
-
-    The column max is shifted out before the exponentials. A column whose
-    terms are all -inf has a non-finite max, taken as 0, and gives -inf.
-    """
-    a_max = a.max(axis=0)
-    a_max[~np.isfinite(a_max)] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - a_max).sum(axis=0)) + a_max
-
-
-def _component_terms(x, level: _Level, whiten: bool):
-    """Per-component log(w_j N(x; mu_j, Sigma_j)) and Sigma_j^-1 (x - mu_j).
+def _component_terms(x, level: _Level):
+    """The mixture kernel's one pass: per-component log(w_j N(x; mu_j, Sigma_j)),
+    their log-sum-exp and Sigma_j^-1 (x - mu_j).
 
     x may carry arbitrary leading batch axes; the last axis is the event
-    dimension. Returns (batch shape, (K, m) log terms, K whitened differences
-    as C-ordered (d, m) rows); the whitened list is None unless whiten is
-    set, so density-only calls skip the back-solve.
+    dimension. Returns (batch shape, (K, m) log terms, (m,) log density, K
+    whitened differences as C-ordered (d, m) rows).
     """
     x = np.asarray(x, dtype=np.float64)
     k, d = level.means.shape
@@ -237,7 +226,7 @@ def _component_terms(x, level: _Level, whiten: bool):
     m = rows.shape[1]
 
     log_comp = np.empty((k, m))
-    whitened = [] if whiten else None
+    whitened = []
     for j in range(k):
         upper = level.uppers[j]
         y = _solve_upper(upper, rows - level.means[j][:, None], trans=0)  # L^-1 (x - mu)
@@ -245,9 +234,14 @@ def _component_terms(x, level: _Level, whiten: bool):
         for row in y[1:]:
             maha += row * row
         log_comp[j] = level.log_w[j] - 0.5 * maha - level.log_dets[j] - 0.5 * d * _LOG_2PI
-        if whiten:
-            whitened.append(_solve_upper(upper, y, trans=1))
-    return batch, log_comp, whitened
+        whitened.append(_solve_upper(upper, y, trans=1))
+    # The column max is shifted out before the exponentials. A column whose
+    # terms are all -inf has a non-finite max, taken as 0, and gives -inf.
+    a_max = log_comp.max(axis=0)
+    a_max[~np.isfinite(a_max)] = 0.0
+    with np.errstate(divide="ignore"):
+        log_p = np.log(np.exp(log_comp - a_max).sum(axis=0)) + a_max
+    return batch, log_comp, log_p, whitened
 
 
 def _mix(resp: np.ndarray, parts) -> np.ndarray:
@@ -263,24 +257,13 @@ def _mix(resp: np.ndarray, parts) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
-def _mixture_eval(x, level: _Level, want_score: bool):
-    """Log density (and optionally score) of a Gaussian mixture at x."""
-    batch, log_comp, whitened = _component_terms(x, level, want_score)
-    log_p = _logsumexp(log_comp)
-    if not want_score:
-        return log_p.reshape(batch)
-    resp = np.exp(log_comp - log_p)
-    score = _mix(resp, whitened)
-    np.negative(score, out=score)
-    return log_p.reshape(batch), score.reshape(batch + (level.means.shape[1],))
-
-
 def gmm_noised_log_density(g: Gmm, x, alpha_bar: float):
     """log p_t(x) of the mixture noised to level alpha_bar in (0, 1]."""
     alpha_bar = float(alpha_bar)
     if not 0.0 < alpha_bar <= 1.0:
         raise ValueError("alpha_bar must lie in (0, 1]")
-    return _mixture_eval(x, _noised_level(g, alpha_bar), want_score=False)
+    batch, _, log_p, _ = _component_terms(x, _noised_level(g, alpha_bar))
+    return log_p.reshape(batch)
 
 
 def gmm_sample(g: Gmm, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -319,8 +302,9 @@ class GmmScoreModel(ScoreModel):
         alpha_bar = float(alpha_bar)
         if not 0.0 < alpha_bar < 1.0:
             raise ValueError("alpha_bar must lie in (0, 1) for epsilon")
-        _, score = _mixture_eval(x, self._level_at(alpha_bar), want_score=True)
-        return -math.sqrt(1.0 - alpha_bar) * score
+        batch, log_comp, log_p, whitened = _component_terms(x, self._level_at(alpha_bar))
+        resp = np.exp(log_comp - log_p)
+        return (math.sqrt(1.0 - alpha_bar) * _mix(resp, whitened)).reshape(batch + (self.dim,))
 
     def predict_epsilon(self, x, t, schedule):
         return self.epsilon(x, schedule.alpha_bar_at(t))
@@ -357,7 +341,8 @@ def gmm_flow_log_density(g: Gmm, x, t_flow: float):
     t_flow = float(t_flow)
     if not 0.0 < t_flow <= 1.0:
         raise ValueError("t_flow must lie in (0, 1]")
-    return _mixture_eval(x, _flow_level(g, t_flow), want_score=False)
+    batch, _, log_p, _ = _component_terms(x, _flow_level(g, t_flow))
+    return log_p.reshape(batch)
 
 
 def score_from_velocity(v, x, t_flow: float):
@@ -402,12 +387,12 @@ class GmmVelocityModel(ScoreModel):
         if not 0.0 < t_flow < 1.0:
             raise ValueError("t_flow must lie strictly inside (0, 1)")
         # whitened[j] = C_j^-1 (x - t mu_j), (d, m)
-        batch, log_comp, whitened = _component_terms(x, self._level_at(t_flow), whiten=True)
+        batch, log_comp, log_p, whitened = _component_terms(x, self._level_at(t_flow))
         comp_v = [
             (mu[:, None] + t_flow * sigma @ u) - (1.0 - t_flow) * u  # E[x_0] - E[eps]
             for mu, sigma, u in zip(self.gmm.means, self.gmm.covariances(), whitened)
         ]  # K arrays (d, m)
-        resp = np.exp(log_comp - _logsumexp(log_comp))
+        resp = np.exp(log_comp - log_p)
         return _mix(resp, comp_v).reshape(batch + (self.dim,))
 
     def predict_epsilon(self, x, t, schedule):

@@ -89,7 +89,9 @@ def flow_duality_error(g: models.Gmm, x, ts) -> float:
 
 def lambda_zero_gap(model_a, model_b, sched, cfg, seed: int, n: int) -> float:
     """Max |difference| between a lam = 0 coupled run and the two independent
-    sample() runs under the derived per-chain seeds; 0.0 when bitwise equal."""
+    sample() runs under the derived per-chain seeds; 0.0 when bitwise equal.
+    Bitwise for a velocity model too, whose bits depend on its call's row
+    count: the coupled run and the solo run call it with the same n rows."""
     run = coupling.coupled_sample(model_a, model_b, sched, cfg,
                                   coupling.CouplingConfig(lam=0.0), seed, n)
     gaps = []
@@ -155,7 +157,7 @@ def run_verify() -> list:
                            float(np.max(np.abs(coupling.coupling_gradient(x, y, lam) - fd))))
 
     gmm_a, gmm_b = resolve_pair("separated-pair")
-    zero_gap = lambda_zero_gap(models.GmmScoreModel(gmm_a), models.GmmScoreModel(gmm_b),
+    zero_gap = lambda_zero_gap(models.GmmVelocityModel(gmm_a), models.GmmScoreModel(gmm_b),
                                sched, sampler.SamplerConfig(), seed=7, n=64)
     band = max(dev for *_, dev in fixed_point_means())
 

@@ -508,13 +508,13 @@ class TestMvEditDemo:
 
     def test_one_mixture_evaluation_per_chain_per_step(self, monkeypatch):
         calls = []
-        evaluate = models._mixture_eval
+        evaluate = models._component_terms
 
         def counted(*args, **kwargs):
             calls.append(None)
             return evaluate(*args, **kwargs)
 
-        monkeypatch.setattr(models, "_mixture_eval", counted)
+        monkeypatch.setattr(models, "_component_terms", counted)
         sched = build_linear(20, 1e-3, 0.2)
         mv_edit_demo(resolve_scene("mv-triangle"), sched, CouplingConfig(lam=1.0), seed=3, n=16)
         # the edit chain evaluates all three views in one call

@@ -12,8 +12,6 @@ KEPT = {
     "coupling._AveragedModel.__init__": "part of the C9 baseline",
     "coupling._AveragedModel.dim": "part of the C9 baseline",
     "coupling._AveragedModel.predict_epsilon": "part of the C9 baseline",
-    "models.GmmVelocityModel.predict_epsilon": "a velocity-parameterised model for cross-checks",
-    "schedule.alpha_bar_to_flow_time": "used by GmmVelocityModel.predict_epsilon",
 }
 
 # Runs in a fresh interpreter, so calls made while the package is imported

@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -16,7 +17,7 @@ from coupled_sampler.models import (
     GmmScoreModel,
     GmmVelocityModel,
     MvScene,
-    _load_linalg_extension,
+    _load_fblas,
     gmm_flow_log_density,
     gmm_noised_log_density,
     gmm_sample,
@@ -25,6 +26,7 @@ from coupled_sampler.models import (
     score_from_velocity,
 )
 from coupled_sampler.metrics import energy_permutation_test
+from coupled_sampler.presets import resolve_gmm
 from coupled_sampler.sampler import SamplerConfig, sample
 from coupled_sampler.schedule import build_linear
 from coupled_sampler.verify import central_difference, flow_duality_error
@@ -137,6 +139,19 @@ class TestNoisedLogDensity:
         kernel = np.exp(-0.5 * (diff**2).sum(1) / (1 - ab)) / (2 * math.pi * (1 - ab))
         quad = float((p0 * kernel).sum() * h * h)
         assert gmm_noised_log_density(g, x, ab) == pytest.approx(math.log(quad), abs=1e-6)
+
+    def test_overflowing_row_is_minus_inf_without_warnings(self):
+        # The row's Mahalanobis terms overflow to inf, which over="ignore"
+        # silences; nothing else on the density path may warn.
+        g = resolve_gmm("anis-3c-2d")
+        x = np.array([[0.3, -1.1], [1e160, 1e160], [-2.0, 0.4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                val = gmm_noised_log_density(g, x, 0.5)
+        assert val[1] == -np.inf
+        assert np.isfinite(val[[0, 2]]).all()
+        assert np.array_equal(val[[0, 2]], gmm_noised_log_density(g, x[[0, 2]], 0.5))
 
     def test_rejects_bad_inputs(self):
         g = std_normal()
@@ -295,12 +310,7 @@ class TestBlockProduct:
                 axis=-1,
             )
             folded = model.predict_epsilon(x, 4, sched)
-            if name == "n=1":
-                # A one-row per-view call makes LAPACK solve a single right-hand
-                # side, which rounds differently from the three-row folded call.
-                np.testing.assert_allclose(folded, per_view, rtol=1e-13, atol=1e-15)
-            else:
-                assert np.array_equal(folded, per_view), name
+            assert np.array_equal(folded, per_view), name
         with pytest.raises(ValueError, match="dimension"):
             model.predict_epsilon(np.zeros((4, 4)), 4, sched)
 
@@ -668,13 +678,12 @@ def test_triangular_solves_written_into_their_operand(monkeypatch):
     assert in_place == [True] * 12  # two solves per component per call
 
 
-@pytest.mark.parametrize("stem", ["_flapack", "_fblas"])
-def test_missing_lapack_extension_names_paths_searched(tmp_path, monkeypatch, stem):
+def test_missing_fblas_extension_names_paths_searched(tmp_path, monkeypatch):
     monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-    monkeypatch.delitem(sys.modules, f"scipy.linalg.{stem}", raising=False)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._fblas", raising=False)
     with pytest.raises(ImportError, match="not found; searched") as info:
-        _load_linalg_extension(stem)
-    assert str(tmp_path / "linalg" / stem) in str(info.value)
+        _load_fblas()
+    assert str(tmp_path / "linalg" / "_fblas") in str(info.value)
 
 
 @pytest.fixture

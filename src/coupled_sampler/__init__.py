@@ -43,12 +43,7 @@ from .sampler import (
 )
 from .schedule import (
     NoiseSchedule,
-    ScheduleAlignment,
-    align_schedules,
-    alpha_bar_to_edm_sigma,
     alpha_bar_to_flow_time,
     build_linear,
-    edm_sigma_to_alpha_bar,
-    flow_time_to_alpha_bar,
     shift_schedule,
 )

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -36,16 +35,7 @@ from .models import GmmScoreModel, gmm_sample, mv_chain_models
 from .presets import resolve_gmm, resolve_pair, resolve_scene
 from .rng import _check_seed, generator
 from .sampler import SamplerConfig, sample
-from .schedule import (
-    NoiseSchedule,
-    align_schedules,
-    alpha_bar_to_edm_sigma,
-    build_linear,
-    edm_sigma_to_alpha_bar,
-    flow_time_to_alpha_bar,
-    schedule_to_json,
-    shift_schedule,
-)
+from .schedule import NoiseSchedule, build_linear, schedule_to_json, shift_schedule
 
 # rng stream labels for run-level auxiliary draws
 _EXACT_CLOUD = 101
@@ -147,7 +137,10 @@ _SAMPLE_SCHEMA = {
     "model": (True, _resolved(resolve_gmm)),
     "schedule": (True, _as_schedule),
     "sampler": (False, _built(SamplerConfig, _SAMPLER_SCHEMA)),
-    "n": (True, _as_int_at_least(2)),  # the energy test needs two points per cloud
+    # the energy test rejects only if under 1 % of label permutations reach the
+    # observed statistic; for disjoint clouds that share is 2 / C(2n, n),
+    # which first falls below 1 % at n = 5
+    "n": (True, _as_int_at_least(5)),
     "seed": (True, _as_seed),
     "svg": (False, _as_bool),
 }
@@ -400,39 +393,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    if args.schedule_cmd == "build":
-        # past a valid step count, every failure is the betas'
-        with _building("--num-steps" if args.num_steps < 1 else "--beta-start/--beta-end"):
-            sched = build_linear(args.num_steps, args.beta_start, args.beta_end)
-        if args.shift is not None:
-            with _building("--shift"):
-                sched = shift_schedule(sched, args.shift)
-        print(schedule_to_json(sched))
-        return 0
-    if args.schedule_cmd == "convert":
-        with _building("--values"):
-            values = [float(v) for v in args.values.split(",")]
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"must be finite, got {args.values}")
-            arr = np.asarray(values)
-            if args.source == "sigma":
-                out = {"sigma": values, "alpha_bar": list(edm_sigma_to_alpha_bar(arr))}
-            elif args.source == "alpha-bar":
-                out = {"alpha_bar": values, "sigma": list(alpha_bar_to_edm_sigma(arr))}
-            else:
-                out = {"flow_time": values, "alpha_bar": list(flow_time_to_alpha_bar(arr))}
-        print(json.dumps(out, sort_keys=True))
-        return 0
-    # align
-    def _load_sched(path, flag):
-        doc = _read_json(path, flag)
-        with _building(flag):
-            return NoiseSchedule.from_json_dict(doc)
-
-    source = _load_sched(args.source_file, "--source")
-    target = _load_sched(args.target_file, "--target")
-    alignment = align_schedules(source, target)
-    print(json.dumps(alignment.to_json_dict(), sort_keys=True))
+    """`schedule build`: print the schedule a run's `schedule` object builds."""
+    # past a valid step count, every failure is the betas'
+    with _building("--num-steps" if args.num_steps < 1 else "--beta-start/--beta-end"):
+        sched = build_linear(args.num_steps, args.beta_start, args.beta_end)
+    if args.shift is not None:
+        with _building("--shift"):
+            sched = shift_schedule(sched, args.shift)
+    print(schedule_to_json(sched))
     return 0
 
 
@@ -476,12 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--beta-start", type=float, required=True)
     pb.add_argument("--beta-end", type=float, required=True)
     pb.add_argument("--shift", type=float, default=None)
-    pc = ssub.add_parser("convert")
-    pc.add_argument("--source", choices=("sigma", "alpha-bar", "flow-time"), required=True)
-    pc.add_argument("--values", required=True)
-    pa = ssub.add_parser("align")
-    pa.add_argument("--source", dest="source_file", required=True)
-    pa.add_argument("--target", dest="target_file", required=True)
     ps.set_defaults(fn=cmd_schedule)
 
     pv = sub.add_parser("verify")

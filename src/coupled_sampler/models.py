@@ -428,6 +428,9 @@ class MvScene:
             raise ValueError(f"n_views: need at least two views, got {self.n_views}")
         if not self.jitter > 0.0:
             raise ValueError(f"jitter: must be positive, got {self.jitter}")
+        jitter = float(self.jitter)
+        if not math.isfinite(jitter * jitter):  # the view covariances hold jitter^2
+            raise ValueError(f"jitter: its square must be finite, got {self.jitter}")
         for key, g in (("latent", self.latent_gmm), ("edit", self.edit_gmm)):
             if g.dim != self.view_dim:
                 raise ValueError(f"{key}: dimension {g.dim} differs from view_dim {self.view_dim}")

@@ -1,4 +1,4 @@
-"""Discrete variance-preserving noise schedules and parameterization bridges.
+"""Discrete variance-preserving noise schedules.
 
 Conventions
 -----------
@@ -7,12 +7,9 @@ the step-t variance increment. ``alpha_bar_at(0)`` returns 1 by convention,
 which keeps the final reverse step well defined.
 
 The forward marginal at step t is x_t = sqrt(alpha_bar_t) x_0
-+ sqrt(1 - alpha_bar_t) eps, so SNR_t = alpha_bar_t / (1 - alpha_bar_t) is
-the quantity preserved by every conversion in this module:
-
-* EDM (variance exploding, x_0 + sigma n): alpha_bar = 1 / (1 + sigma^2)
-* flow interpolation (x_t = t x_0 + (1 - t) eps):
-  alpha_bar = t^2 / (t^2 + (1 - t)^2)
++ sqrt(1 - alpha_bar_t) eps, so SNR_t = alpha_bar_t / (1 - alpha_bar_t).
+``shift_schedule`` rescales that SNR, and ``alpha_bar_to_flow_time`` gives
+the flow-interpolation time (x_t = t x_0 + (1 - t) eps) of equal SNR.
 
 Schedules are immutable after construction and safe for concurrent reads.
 """
@@ -21,16 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .config import _as_is, _json_array, _json_int, _require
-
-# Flow times below this are rejected: the velocity-to-score transform blows
-# up as alpha_bar -> 0, and no sampler step ever needs them.
-DEFAULT_FLOW_TIME_MIN = 1e-6
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -78,36 +68,12 @@ class NoiseSchedule:
             raise ValueError(f"step {t} outside 0..{self.num_steps}")
         return 1.0 if t == 0 else float(self.alpha_bar[t - 1])
 
-    def log_snr(self) -> np.ndarray:
-        ab = self.alpha_bar
-        return np.log(ab) - np.log1p(-ab)
-
     def to_json_dict(self) -> dict:
         return {
             "num_steps": self.num_steps,
             "beta": [float(b) for b in self.beta],
             "alpha_bar_sha256": _alpha_bar_checksum(self.alpha_bar),
         }
-
-    @classmethod
-    def from_json_dict(cls, doc) -> "NoiseSchedule":
-        """The inverse of to_json_dict: {"beta", "num_steps", "alpha_bar_sha256"},
-        the last two optional; an unknown key is refused."""
-        f = _require(doc, "", _JSON_KEYS)
-        sched = cls(f["beta"])
-        if f.get("num_steps", sched.num_steps) != sched.num_steps:
-            raise ValueError("num_steps does not match beta length")
-        checksum = _alpha_bar_checksum(sched.alpha_bar)
-        if f.get("alpha_bar_sha256", checksum) != checksum:
-            raise ValueError("alpha_bar checksum mismatch on load")
-        return sched
-
-
-_JSON_KEYS = {
-    "num_steps": (False, _json_int),
-    "beta": (True, _json_array),
-    "alpha_bar_sha256": (False, _as_is),
-}
 
 
 def _alpha_bar_checksum(alpha_bar: np.ndarray) -> str:
@@ -142,85 +108,15 @@ def shift_schedule(sched: NoiseSchedule, shift: float) -> NoiseSchedule:
     return NoiseSchedule(beta)
 
 
-def edm_sigma_to_alpha_bar(sigma):
-    """SNR-matched conversion from the variance-exploding noise level."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma < 0.0):
-        raise ValueError("sigma must be non-negative")
-    with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + sigma * sigma)
-    if np.any(out == 0.0):  # outside the (0, 1] the inverse accepts
-        raise ValueError("sigma too large: alpha_bar underflows to 0")
-    return float(out) if out.ndim == 0 else out
-
-
-def alpha_bar_to_edm_sigma(alpha_bar):
-    """Inverse of edm_sigma_to_alpha_bar on (0, 1]."""
-    ab = np.asarray(alpha_bar, dtype=np.float64)
-    if np.any((ab <= 0.0) | (ab > 1.0)):
-        raise ValueError("alpha_bar must lie in (0, 1]")
-    with np.errstate(over="ignore"):
-        out = np.sqrt((1.0 - ab) / ab)
-    if np.any(out == np.inf):
-        raise ValueError("alpha_bar too small: sigma overflows")
-    return float(out) if out.ndim == 0 else out
-
-
-def flow_time_to_alpha_bar(t_flow):
-    """alpha_bar matching the SNR of the flow interpolation at time t."""
-    t = np.asarray(t_flow, dtype=np.float64)
-    if np.any(t < DEFAULT_FLOW_TIME_MIN) or np.any(t > 1.0):
-        raise ValueError(f"flow time must lie in [{DEFAULT_FLOW_TIME_MIN}, 1]")
-    out = t * t / (t * t + (1.0 - t) ** 2)
-    return float(out) if out.ndim == 0 else out
-
-
 def alpha_bar_to_flow_time(alpha_bar):
-    """Inverse of flow_time_to_alpha_bar: t = sqrt(ab) / (sqrt(ab) + sqrt(1-ab))."""
+    """The flow time whose SNR matches alpha_bar:
+    t = sqrt(ab) / (sqrt(ab) + sqrt(1 - ab)), with t = 1 at alpha_bar = 1."""
     ab = np.asarray(alpha_bar, dtype=np.float64)
     if np.any((ab <= 0.0) | (ab > 1.0)):
         raise ValueError("alpha_bar must lie in (0, 1]")
     root = np.sqrt(ab)
     out = root / (root + np.sqrt(1.0 - ab))
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class ScheduleAlignment:
-    """Nearest-log-SNR pairing of source steps onto target steps."""
-
-    source_steps: int
-    mapping: tuple  # ((source_step, target_step), ...) 1-based
-    max_log_snr_gap: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "source_steps": self.source_steps,
-            "mapping": [[s, t] for s, t in self.mapping],
-            "max_log_snr_gap": self.max_log_snr_gap,
-        }
-
-
-def align_schedules(source: NoiseSchedule, target: NoiseSchedule) -> ScheduleAlignment:
-    """Map each source step to the target step with the closest log SNR.
-
-    Ties break toward the smaller target index. Both log-SNR sequences are
-    strictly decreasing, so the mapping is monotone non-decreasing.
-    """
-    ls_src = source.log_snr()
-    ls_tgt = target.log_snr()
-    gaps = np.abs(ls_src[:, None] - ls_tgt[None, :])
-    idx = np.argmin(gaps, axis=1)  # first minimum = smaller target index
-    worst = float(np.max(gaps[np.arange(ls_src.size), idx])) if ls_src.size else 0.0
-    mapping = tuple((s + 1, int(idx[s]) + 1) for s in range(ls_src.size))
-    return ScheduleAlignment(
-        source_steps=source.num_steps, mapping=mapping, max_log_snr_gap=worst
-    )
-
-
-def snr_log_grid() -> np.ndarray:
-    """61 log-spaced sigmas from 1e-3 to 1e3, for the conversion round-trip checks."""
-    return np.exp(np.linspace(math.log(1e-3), math.log(1e3), 61))
 
 
 def schedule_to_json(sched: NoiseSchedule) -> str:

@@ -42,37 +42,11 @@ def central_difference(f, x, h: float) -> np.ndarray:
     return fd
 
 
-def edm_roundtrip_error() -> float:
-    """Round trip through the sigma conversion pair on a log grid.
-
-    Measured as alpha_bar -> sigma -> alpha_bar at the levels induced by the
-    grid: near alpha_bar = 1 a single float64 ulp already moves sigma by
-    ~5e-11 relative, so the opposite composition cannot be pinned at 1e-12
-    for sigma below ~1e-2 in principle. The sigma-anchored direction is
-    covered separately at representable points.
-    """
-    grid = schedule.snr_log_grid()
-    ab = schedule.edm_sigma_to_alpha_bar(grid)
-    back = schedule.edm_sigma_to_alpha_bar(schedule.alpha_bar_to_edm_sigma(ab))
-    err = float(np.max(np.abs(back - ab) / ab))
-    for sigma in (0.01, 1.0, 80.0):
-        round_sigma = schedule.alpha_bar_to_edm_sigma(schedule.edm_sigma_to_alpha_bar(sigma))
-        err = max(err, abs(round_sigma - sigma) / sigma)
-    return err
-
-
 def shift_composition_error(base: schedule.NoiseSchedule, a: float, b: float) -> float:
     """Max relative alpha_bar gap between shifting by a then b and by a * b."""
     twice = schedule.shift_schedule(schedule.shift_schedule(base, a), b)
     once = schedule.shift_schedule(base, a * b)
     return float(np.max(np.abs(twice.alpha_bar - once.alpha_bar) / once.alpha_bar))
-
-
-def self_alignment_gap(sched: schedule.NoiseSchedule) -> float:
-    """Log-SNR gap of aligning sched with itself; inf unless the map is the identity."""
-    alignment = schedule.align_schedules(sched, sched)
-    identity = all(s == t for s, t in alignment.mapping)
-    return alignment.max_log_snr_gap if identity else float("inf")
 
 
 def flow_duality_error(g: models.Gmm, x, ts) -> float:
@@ -165,9 +139,7 @@ def run_verify() -> list:
         return VerifyCheck(metrics.MetricReport(name, value, threshold, "le"), hard=hard)
 
     return [
-        check("schedule-edm-roundtrip", edm_roundtrip_error(), 1e-12),
         check("schedule-shift-composition", shift_composition_error(sched, 2.0, 3.0), 1e-12),
-        check("schedule-align-identity", self_alignment_gap(sched), 0.0),
         check("gmm-score-finite-difference", score_err, 1e-4),
         check("flow-duality", duality_err, 1e-5),
         check("coupling-gradient-fd", gradient_err, 1e-6),

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,15 +5,9 @@ import pytest
 
 from coupled_sampler.schedule import (
     NoiseSchedule,
-    align_schedules,
-    alpha_bar_to_edm_sigma,
     alpha_bar_to_flow_time,
     build_linear,
-    edm_sigma_to_alpha_bar,
-    flow_time_to_alpha_bar,
-    schedule_to_json,
     shift_schedule,
-    snr_log_grid,
 )
 
 
@@ -92,104 +85,20 @@ class TestShift:
                 shift_schedule(s, shift)
 
 
-class TestEdmConversion:
-    def test_noiseless_endpoint(self):
-        assert edm_sigma_to_alpha_bar(0.0) == 1.0
-        assert alpha_bar_to_edm_sigma(1.0) == 0.0
-
-    def test_snr_matching_values(self):
-        assert edm_sigma_to_alpha_bar(1.0) == pytest.approx(0.5, rel=1e-15)
-        assert edm_sigma_to_alpha_bar(3.0) == pytest.approx(0.1, rel=1e-15)
-        assert alpha_bar_to_edm_sigma(0.5) == pytest.approx(1.0, rel=1e-15)
-
-    def test_round_trip_from_alpha_bar_levels(self):
-        ab = edm_sigma_to_alpha_bar(snr_log_grid())
-        back = edm_sigma_to_alpha_bar(alpha_bar_to_edm_sigma(ab))
-        assert np.max(np.abs(back - ab) / ab) < 1e-12
-
-    def test_round_trip_from_sigma_points(self):
-        for sigma in (0.01, 1.0, 80.0):
-            back = alpha_bar_to_edm_sigma(edm_sigma_to_alpha_bar(sigma))
-            assert back == pytest.approx(sigma, rel=1e-12)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            edm_sigma_to_alpha_bar(-0.5)
-        for ab in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                alpha_bar_to_edm_sigma(ab)
-
-
 class TestFlowTime:
-    def test_endpoints_and_midpoint(self):
-        assert flow_time_to_alpha_bar(1.0) == 1.0
-        assert flow_time_to_alpha_bar(0.5) == pytest.approx(0.5, rel=1e-15)
-        assert flow_time_to_alpha_bar(0.8) == pytest.approx(0.64 / 0.68, rel=1e-15)
-
-    def test_rejects_below_minimum(self):
-        for t in (0.0, -0.2, 1e-9):
-            with pytest.raises(ValueError):
-                flow_time_to_alpha_bar(t)
-        with pytest.raises(ValueError):
-            flow_time_to_alpha_bar(1.2)
-
     def test_inverse_round_trip(self):
-        ts = np.linspace(0.05, 1.0, 40)
-        back = alpha_bar_to_flow_time(flow_time_to_alpha_bar(ts))
-        assert np.max(np.abs(back - ts)) < 1e-12
+        # the flow interpolation t x_0 + (1 - t) eps has alpha_bar t^2 / (t^2 + (1 - t)^2)
+        ab = np.concatenate([np.geomspace(1e-6, 0.5, 30), np.linspace(0.5, 1.0, 30)])
+        t = alpha_bar_to_flow_time(ab)
+        back = t * t / (t * t + (1.0 - t) ** 2)
+        assert np.max(np.abs(back - ab)) < 1e-12
+        assert alpha_bar_to_flow_time(1.0) == 1.0
+        assert alpha_bar_to_flow_time(0.5) == pytest.approx(0.5, rel=1e-15)
 
-
-class TestAlignment:
-    def test_self_alignment_is_identity(self):
-        s = build_linear(30, 0.01, 0.25)
-        a = align_schedules(s, s)
-        assert all(src == tgt for src, tgt in a.mapping)
-        assert a.max_log_snr_gap == 0.0
-
-    def test_hand_case(self):
-        # exhaustive log-SNR comparison over all 6 pairs picks (1,1), (2,2)
-        src = NoiseSchedule([0.1, 1 - 0.5 / 0.9])
-        tgt = NoiseSchedule([0.05, 1 - 0.5 / 0.95, 0.8])
-        assert src.alpha_bar == pytest.approx([0.9, 0.5], rel=1e-12)
-        assert tgt.alpha_bar == pytest.approx([0.95, 0.5, 0.1], rel=1e-12)
-        a = align_schedules(src, tgt)
-        assert a.mapping == ((1, 1), (2, 2))
-        gaps = np.abs(src.log_snr()[:, None] - tgt.log_snr()[None, :])
-        assert a.max_log_snr_gap == pytest.approx(np.min(gaps, axis=1).max(), rel=1e-12)
-
-    def test_mapping_monotone_for_random_pairs(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            t_a, t_b = rng.integers(2, 40, size=2)
-            sa = NoiseSchedule(np.sort(rng.uniform(1e-4, 0.5, t_a)))
-            sb = NoiseSchedule(np.sort(rng.uniform(1e-4, 0.5, t_b)))
-            targets = [tgt for _, tgt in align_schedules(sa, sb).mapping]
-            assert all(b >= a for a, b in zip(targets, targets[1:]))
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        s = build_linear(20, 0.01, 0.2)
-        out = NoiseSchedule.from_json_dict(json.loads(schedule_to_json(s)))
-        assert np.array_equal(out.beta, s.beta)
-        assert np.array_equal(out.alpha_bar, s.alpha_bar)
-
-    def test_checksum_mismatch_rejected(self):
-        doc = json.loads(schedule_to_json(build_linear(5, 0.1, 0.2)))
-        doc["beta"][2] = 0.123
-        with pytest.raises(ValueError, match="checksum"):
-            NoiseSchedule.from_json_dict(doc)
-
-    def test_checksum_optional(self):
-        doc = json.loads(schedule_to_json(build_linear(5, 0.1, 0.2)))
-        del doc["alpha_bar_sha256"]
-        NoiseSchedule.from_json_dict(doc)
-
-    def test_num_steps_mismatch_rejected(self):
-        doc = json.loads(schedule_to_json(build_linear(5, 0.1, 0.2)))
-        doc["num_steps"] = 9
-        with pytest.raises(ValueError, match="num_steps"):
-            NoiseSchedule.from_json_dict(doc)
+    def test_rejects_outside_unit_interval(self):
+        for ab in (0.0, -0.1, 1.5, [0.5, 1.0 + 1e-12]):
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                alpha_bar_to_flow_time(ab)
 
 
 def test_schedules_are_immutable():
